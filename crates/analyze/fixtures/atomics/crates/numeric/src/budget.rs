@@ -6,3 +6,11 @@ use std::sync::atomic::{AtomicBool, Ordering};
 pub fn cancel(flag: &AtomicBool) {
     flag.store(true, Ordering::Relaxed);
 }
+
+#[cfg(test)]
+mod tests {
+    #[test]
+    fn exercised() {
+        super::cancel(&std::sync::atomic::AtomicBool::new(false));
+    }
+}

@@ -4,3 +4,11 @@
 pub fn fine() -> f64 {
     1.0
 }
+
+#[cfg(test)]
+mod tests {
+    #[test]
+    fn exercised() {
+        assert_eq!(super::fine(), 1.0);
+    }
+}

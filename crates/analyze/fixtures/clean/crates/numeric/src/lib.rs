@@ -7,3 +7,11 @@ pub const TOL: f64 = 1e-10;
 pub fn converged(residual: f64) -> bool {
     residual < TOL
 }
+
+#[cfg(test)]
+mod tests {
+    #[test]
+    fn exercised() {
+        assert!(super::converged(0.0));
+    }
+}

@@ -10,3 +10,11 @@ pub fn head(xs: &[f64; 4]) -> f64 {
 pub fn must(v: Option<f64>) -> f64 {
     v.unwrap() // ind101: allow(panic-policy, fixture contract is a documented panic)
 }
+
+#[cfg(test)]
+mod tests {
+    #[test]
+    fn exercised() {
+        assert_eq!(super::head(&[1.0; 4]), super::must(Some(1.0)));
+    }
+}

@@ -4,3 +4,11 @@
 pub fn converged(residual: f64) -> bool {
     residual < 1e-10
 }
+
+#[cfg(test)]
+mod tests {
+    #[test]
+    fn exercised() {
+        assert!(super::converged(0.0));
+    }
+}

@@ -17,7 +17,8 @@
 //! * **tolerance-hygiene** — numeric thresholds are named consts, not
 //!   scattered literals;
 //! * **atomics-ordering** — cancellation/guard/fault atomics carry
-//!   the synchronizes-with edges budget enforcement needs.
+//!   the synchronizes-with edges budget enforcement needs;
+//! * **dead-public** — every `pub fn` in a member crate has a caller.
 //!
 //! Findings reuse `ind101-verify`'s [`Diagnostic`]/[`Severity`]
 //! machinery. Violations are suppressed inline with justification —
@@ -85,9 +86,18 @@ pub fn analyze(ws: &Workspace, cfg: &AnalyzeConfig, baseline: &Baseline) -> Anal
     let mut findings: Vec<Finding> = Vec::new();
     let mut baselined: Vec<String> = Vec::new();
 
+    // Dead public functions need the whole tree, but each finding sits
+    // on its definition line, so it goes through that file's
+    // suppressions below like any per-file lint.
+    let all: Vec<(&SourceFile, &LexedFile)> = ws.files.iter().zip(&lexed).collect();
+    let callers: Vec<LexedFile> = ws.callers.iter().map(|t| lexer::lex(t)).collect();
+    let mut dead = lints::dead_public::dead_public(&all, &callers);
+
     // Per-file source lints, with suppression handling per file.
     for (file, lex) in ws.files.iter().zip(&lexed) {
-        let mut per_file: Vec<Finding> = Vec::new();
+        let (mut per_file, rest): (Vec<Finding>, Vec<Finding>) =
+            dead.into_iter().partition(|f| f.path == file.rel_path);
+        dead = rest;
         let is_lib = file.kind == FileKind::Lib;
         if is_lib && cfg.panic_policy_crates.contains(&file.crate_dir) {
             per_file.extend(lints::panic::panic_policy(&file.rel_path, lex));

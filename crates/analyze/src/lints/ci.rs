@@ -144,6 +144,7 @@ mod tests {
             design_md: None,
             ci_yml: Some(ci.to_string()),
             bench_records: records.into_iter().map(str::to_string).collect(),
+            callers: Vec::new(),
         }
     }
 

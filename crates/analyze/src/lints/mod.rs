@@ -3,13 +3,14 @@
 
 pub mod atomics;
 pub mod ci;
+pub mod dead_public;
 pub mod panic;
 pub mod taxonomy;
 pub mod tolerance;
 
 /// Identifier and one-line contract of every lint, for `--list-lints`
 /// and the documentation self-check.
-pub const LINTS: [(&str, &str); 7] = [
+pub const LINTS: [(&str, &str); 8] = [
     (
         "panic-policy",
         "no unwrap/expect/panic!/todo!/unreachable!/unimplemented! in non-test library code",
@@ -33,6 +34,10 @@ pub const LINTS: [(&str, &str); 7] = [
     (
         "atomics-ordering",
         "no Ordering::Relaxed on cancellation/guard/fault paths where a delayed store defers budget enforcement",
+    ),
+    (
+        "dead-public",
+        "every public fn in crates/*/src has a caller (any workspace source or perfbench) besides its definition",
     ),
     (
         "bad-suppression",

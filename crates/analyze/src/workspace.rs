@@ -48,6 +48,10 @@ pub struct Workspace {
     pub ci_yml: Option<String>,
     /// Workspace-relative paths of committed `BENCH_*.json` records.
     pub bench_records: Vec<String>,
+    /// Sources of the perfbench harness (`perfbench/src`,
+    /// `perfbench/tests`): a separate cargo workspace, read only as
+    /// callers of the crates' public API.
+    pub callers: Vec<String>,
 }
 
 /// I/O or layout failure while collecting the workspace.
@@ -130,6 +134,18 @@ pub fn collect(root: &Path) -> Result<Workspace, WorkspaceError> {
             .collect();
         records.sort();
         ws.bench_records.append(&mut records);
+    }
+
+    let mut caller_paths = Vec::new();
+    for sub in ["perfbench/src", "perfbench/tests"] {
+        let dir = root.join(sub);
+        if dir.is_dir() {
+            walk(&dir, &mut caller_paths)?;
+        }
+    }
+    caller_paths.sort();
+    for p in caller_paths {
+        ws.callers.push(fs::read_to_string(&p).map_err(|e| io_err(&p, &e))?);
     }
 
     let design = root.join("DESIGN.md");

@@ -167,3 +167,16 @@ fn the_workspace_itself_is_clean() {
     assert!(a.files_scanned > 100, "workspace scan looks truncated");
     assert!(a.is_clean(), "{:#?}", a.findings);
 }
+
+/// `kept` is just as uncalled as `orphan`, but its inline suppression
+/// silences it (and is not reported unused).
+#[test]
+fn dead_fixture_trips_only_the_uncalled_public_fn() {
+    let a = run("dead");
+    assert_eq!(a.findings.len(), 1, "{:#?}", a.findings);
+    let f = &a.findings[0];
+    assert_eq!(f.rule, "dead-public");
+    assert_eq!(f.path, "crates/numeric/src/lib.rs");
+    assert_eq!(f.line, 14);
+    assert_eq!(f.message, "public `orphan` has no caller outside its definition");
+}

@@ -9,13 +9,12 @@ use crate::error::CircuitError;
 use crate::mna::{MnaLayout, GMIN};
 use crate::netlist::{Circuit, NodeId};
 use crate::resilience::{
-    FailurePolicy, FrequencyRecovery, FrequencyStatus, RecoveryReport, ResilienceOptions,
-    ResilientAcSweep,
+    FailurePolicy, FrequencyRecovery, FrequencyStatus, ResilienceOptions, ResilientAcSweep,
 };
 use crate::solver::{Solver, SolverBackend, SMALL_DENSE};
 use crate::dcop::DcOperatingPoint;
 use crate::Result;
-use ind101_numeric::partition::{collect_row_blocks, collect_row_blocks_until, uniform_row_blocks};
+use ind101_numeric::partition::{collect_row_blocks_until, uniform_row_blocks};
 use ind101_numeric::{CancelToken, Complex64, ParallelConfig, SolveGuard, SymbolicLu, Triplets};
 use std::sync::Arc;
 
@@ -177,57 +176,17 @@ impl Circuit {
     /// split into contiguous frequency blocks across `cfg.threads` scoped
     /// worker threads. Results (and the choice of reported error, if
     /// any) are in deterministic frequency order regardless of thread
-    /// count.
+    /// count. This is [`Circuit::ac_sweep_resilient`] under
+    /// [`ResilienceOptions::strict`].
     ///
     /// # Errors
     ///
     /// Invalid options or singular systems.
     pub fn ac_sweep_with(&self, opts: &AcOptions, cfg: &ParallelConfig) -> Result<AcResult> {
-        opts.validate()?;
-        let layout = MnaLayout::build(self);
-
-        // DC operating point for device linearization, only if needed.
-        let op = if self.is_nonlinear() {
-            Some(self.dc_op()?)
-        } else {
-            None
-        };
-
-        // The complex MNA pattern is frequency-independent (for f > 0
-        // every jωC/jωM stamp is structurally nonzero), so one symbolic
-        // factorization serves the whole sweep. Analyzed up front —
-        // pattern only, no numeric work — and shared read-only across
-        // the worker threads.
-        let backend = self.effective_backend();
-        let sym_hint = opts
-            .freqs_hz
-            .first()
-            .and_then(|&f0| self.ac_symbolic_for(&layout, op.as_ref(), backend, f0));
-
-        let nf = opts.freqs_hz.len();
-        let ranges = uniform_row_blocks(nf, cfg.blocks_for(nf));
-        let per_freq = collect_row_blocks(&ranges, |rows| {
-            rows.map(|i| {
-                self.ac_solve_one(
-                    &layout,
-                    op.as_ref(),
-                    opts.freqs_hz[i],
-                    backend,
-                    sym_hint.as_ref(),
-                )
-            })
-            .collect()
-        });
-        // First error in frequency order wins — same as the serial loop.
-        let data = per_freq.into_iter().collect::<Result<Vec<_>>>()?;
-        Ok(AcResult {
-            freqs_hz: opts.freqs_hz.clone(),
-            data,
-            layout,
-        })
+        self.ac_sweep_resilient(opts, cfg, &ResilienceOptions::strict()).map(|s| s.ac)
     }
 
-    /// [`Circuit::ac_sweep_with`] wrapped in the solve-resilience layer:
+    /// [`Circuit::ac_sweep_with`] under the solve-resilience layer:
     /// the sweep shares one [`ind101_numeric::SolveBudget`], workers
     /// poll its [`CancelToken`] (and the wall-clock deadline) before
     /// every frequency inside the row-block parallel loop, and the
@@ -239,7 +198,7 @@ impl Circuit {
     /// [`FailurePolicy::DegradeToDense`] behaves like
     /// [`FailurePolicy::SkipAndReport`] (every solve is already
     /// direct). With no budget set and no failures the solutions are
-    /// bit-identical to [`Circuit::ac_sweep_with`].
+    /// bit-identical under every policy.
     ///
     /// # Errors
     ///
@@ -288,6 +247,11 @@ impl Circuit {
         } else {
             None
         };
+        // The complex MNA pattern is frequency-independent (for f > 0
+        // every jωC/jωM stamp is structurally nonzero), so one symbolic
+        // factorization serves the whole sweep. Analyzed up front —
+        // pattern only, no numeric work — and shared read-only across
+        // the worker threads.
         let backend = self.effective_backend();
         let sym_hint = external_hint.or_else(|| {
             opts.freqs_hz
@@ -340,101 +304,60 @@ impl Circuit {
         let mut solutions: Vec<Option<Vec<Complex64>>> = Vec::with_capacity(nf);
         let mut any_stopped = false;
         for (range, block) in ranges.iter().zip(per_block) {
-            match block {
-                None => {
-                    any_stopped = true;
-                    for i in range.clone() {
+            let Some(items) = block else {
+                any_stopped = true;
+                for i in range.clone() {
+                    records.push(FrequencyRecovery::not_attempted(opts.freqs_hz[i]));
+                    solutions.push(None);
+                }
+                continue;
+            };
+            for (i, item) in range.clone().zip(items) {
+                let f = opts.freqs_hz[i];
+                match item {
+                    FreqItem::Solved(x, elapsed) => {
                         records.push(FrequencyRecovery {
-                            freq_hz: opts.freqs_hz[i],
-                            status: FrequencyStatus::NotAttempted,
-                            iterations: 0,
-                            rungs_attempted: 0,
-                            trajectory: String::new(),
-                            elapsed_seconds: 0.0,
+                            freq_hz: f,
+                            status: FrequencyStatus::Solved,
+                            iterations: 1,
+                            rungs_attempted: 1,
+                            trajectory: "direct(converged)".to_owned(),
+                            elapsed_seconds: elapsed,
+                        });
+                        solutions.push(Some(x));
+                    }
+                    FreqItem::Failed(e, elapsed) => {
+                        if resilience.policy == FailurePolicy::Abort {
+                            // First failure in frequency order wins.
+                            return Err(e);
+                        }
+                        records.push(FrequencyRecovery {
+                            freq_hz: f,
+                            status: FrequencyStatus::Skipped {
+                                error: e.to_string(),
+                            },
+                            iterations: 1,
+                            rungs_attempted: 1,
+                            trajectory: "direct(failed)".to_owned(),
+                            elapsed_seconds: elapsed,
                         });
                         solutions.push(None);
                     }
-                }
-                Some(items) => {
-                    for (i, item) in range.clone().zip(items) {
-                        let f = opts.freqs_hz[i];
-                        match item {
-                            FreqItem::Solved(x, elapsed) => {
-                                records.push(FrequencyRecovery {
-                                    freq_hz: f,
-                                    status: FrequencyStatus::Solved,
-                                    iterations: 1,
-                                    rungs_attempted: 1,
-                                    trajectory: "direct(converged)".to_owned(),
-                                    elapsed_seconds: elapsed,
-                                });
-                                solutions.push(Some(x));
-                            }
-                            FreqItem::Failed(e, elapsed) => {
-                                if resilience.policy == FailurePolicy::Abort {
-                                    // First failure in frequency order
-                                    // wins — same as the plain sweep.
-                                    return Err(e);
-                                }
-                                records.push(FrequencyRecovery {
-                                    freq_hz: f,
-                                    status: FrequencyStatus::Skipped {
-                                        error: e.to_string(),
-                                    },
-                                    iterations: 1,
-                                    rungs_attempted: 1,
-                                    trajectory: "direct(failed)".to_owned(),
-                                    elapsed_seconds: elapsed,
-                                });
-                                solutions.push(None);
-                            }
-                            FreqItem::Stopped => {
-                                any_stopped = true;
-                                records.push(FrequencyRecovery {
-                                    freq_hz: f,
-                                    status: FrequencyStatus::NotAttempted,
-                                    iterations: 0,
-                                    rungs_attempted: 0,
-                                    trajectory: String::new(),
-                                    elapsed_seconds: 0.0,
-                                });
-                                solutions.push(None);
-                            }
-                        }
+                    FreqItem::Stopped => {
+                        any_stopped = true;
+                        records.push(FrequencyRecovery::not_attempted(f));
+                        solutions.push(None);
                     }
                 }
             }
         }
-        let stopped = if any_stopped {
-            Some(
-                guard
-                    .check()
-                    .err()
-                    .map_or_else(|| "sweep stopped".to_owned(), |e| e.to_string()),
-            )
-        } else {
-            None
-        };
-
-        let mut freqs = Vec::new();
-        let mut data = Vec::new();
-        for (rec, sol) in records.iter().zip(solutions) {
-            if let Some(x) = sol {
-                freqs.push(rec.freq_hz);
-                data.push(x);
-            }
-        }
-        Ok(ResilientAcSweep {
-            ac: AcResult {
-                freqs_hz: freqs,
-                data,
-                layout,
-            },
-            report: RecoveryReport {
-                frequencies: records,
-                stopped,
-            },
-        })
+        let stopped = any_stopped.then(|| {
+            guard
+                .check()
+                .err()
+                .map_or_else(|| "sweep stopped".to_owned(), |e| e.to_string())
+        });
+        Ok(ResilientAcSweep::from_records(records, solutions, stopped, layout))
     }
 
     /// Analyzes the circuit's complex MNA sparsity pattern at a probe

@@ -31,13 +31,12 @@ use crate::error::CircuitError;
 use crate::mna::MnaLayout;
 use crate::netlist::Circuit;
 use crate::resilience::{
-    FailurePolicy, FrequencyRecovery, FrequencyStatus, RecoveryReport, ResilienceOptions,
-    ResilientAcSweep,
+    FailurePolicy, FrequencyRecovery, FrequencyStatus, ResilienceOptions, ResilientAcSweep,
 };
 use crate::solver::{Solver, SMALL_DENSE};
 use crate::Result;
 use ind101_numeric::{
-    gmres, solve_with_rescue, Complex64, CsrMatrix, KrylovOptions, LinearOperator, Matrix,
+    solve_with_rescue, Complex64, CsrMatrix, KrylovOptions, LinearOperator, Matrix,
     NumericError, Preconditioner, RescueProvider, SolveGuard, SymbolicLu,
 };
 use std::sync::Arc;
@@ -130,7 +129,9 @@ impl Circuit {
     /// (and every non-overridden system) is assembled exactly as in
     /// [`Circuit::ac_sweep`]. Results agree with the dense path to the
     /// Krylov tolerance — the loop-extraction differential tests pin
-    /// this to ≤ 1e-8.
+    /// this to ≤ 1e-8. This is
+    /// [`Circuit::ac_sweep_matrix_free_resilient`] under
+    /// [`ResilienceOptions::strict`].
     ///
     /// # Errors
     ///
@@ -144,69 +145,8 @@ impl Circuit {
         overrides: &[(usize, &dyn LinearOperator<Complex64>)],
         mf: &MatrixFreeAcOptions,
     ) -> Result<AcResult> {
-        opts.validate()?;
-        let layout = MnaLayout::build(self);
-        self.validate_overrides(overrides)?;
-        let systems = self.inductor_systems();
-
-        let dc = if self.is_nonlinear() {
-            Some(self.dc_op()?)
-        } else {
-            None
-        };
-        let overridden: Vec<usize> = overrides.iter().map(|&(s, _)| s).collect();
-        let backend = self.effective_backend();
-        let kopts = KrylovOptions {
-            tol: mf.tol,
-            max_iters: mf.max_iters,
-            restart: mf.restart.max(1),
-        };
-
-        let mut data: Vec<Vec<Complex64>> = Vec::with_capacity(opts.freqs_hz.len());
-        let mut prev: Option<Vec<Complex64>> = None;
-        // The preconditioner pattern is frequency-independent: reuse
-        // its symbolic factorization across the sweep.
-        let mut hint: Option<Arc<SymbolicLu>> = None;
-        for &f in &opts.freqs_hz {
-            let jw = Complex64::jomega(2.0 * std::f64::consts::PI * f);
-            let (t_op, rhs) = self.ac_assemble_mode(
-                &layout,
-                dc.as_ref(),
-                f,
-                AcStampMode::OperatorPart {
-                    overridden: &overridden,
-                },
-            );
-            let (t_pre, _) = self.ac_assemble_mode(
-                &layout,
-                dc.as_ref(),
-                f,
-                AcStampMode::DiagonalPreconditioner {
-                    overridden: &overridden,
-                },
-            );
-            let annotate = |e| crate::mna::annotate_singular(self, &layout, e);
-            let solver = Solver::build_with(&t_pre, backend, hint.as_ref()).map_err(annotate)?;
-            if hint.is_none() && layout.n > SMALL_DENSE {
-                hint = solver.symbolic_hint();
-            }
-            let precond = SolverPreconditioner { solver };
-            let operator = MnaAcOperator {
-                csr: t_op.to_csr(),
-                blocks: overrides
-                    .iter()
-                    .map(|&(s, op)| (layout.ind_offsets[s], systems[s].len(), op, -jw))
-                    .collect(),
-            };
-            let x0 = if mf.warm_start { prev.as_deref() } else { None };
-            let sol = gmres(&operator, &rhs, x0, &precond, &kopts)
-                .map_err(|e| CircuitError::Numeric(NumericError::from(e)))?;
-            if mf.warm_start {
-                prev = Some(sol.x.clone());
-            }
-            data.push(sol.x);
-        }
-        Ok(AcResult::from_parts(opts.freqs_hz.clone(), data, layout))
+        self.ac_sweep_matrix_free_resilient(opts, overrides, mf, &ResilienceOptions::strict())
+            .map(|s| s.ac)
     }
 
     /// Checks that every override names an existing inductor system,
@@ -245,7 +185,7 @@ impl Circuit {
         Ok(())
     }
 
-    /// [`Circuit::ac_sweep_matrix_free`] wrapped in the solve-resilience
+    /// [`Circuit::ac_sweep_matrix_free`] under the solve-resilience
     /// layer: per-frequency Krylov failures climb the
     /// [`ind101_numeric::KrylovRescuePolicy`] ladder (grown restart →
     /// dense-direct fallback, the latter gated by the memory budget),
@@ -256,9 +196,6 @@ impl Circuit {
     /// typed record. The returned [`ResilientAcSweep`] holds solutions
     /// for every frequency that solved plus a [`RecoveryReport`] for
     /// the full request.
-    ///
-    /// With [`ResilienceOptions::strict`] the results are bit-identical
-    /// to [`Circuit::ac_sweep_matrix_free`].
     ///
     /// The GMRES warm start is reset whenever a frequency needed any
     /// rescue rung or was skipped — a guess that led to failure (or
@@ -312,13 +249,13 @@ impl Circuit {
 
         for &f in &opts.freqs_hz {
             if stopped.is_some() {
-                records.push(not_attempted(f));
+                records.push(FrequencyRecovery::not_attempted(f));
                 solutions.push(None);
                 continue;
             }
             if let Err(e) = guard.check() {
                 stopped = Some(e.to_string());
-                records.push(not_attempted(f));
+                records.push(FrequencyRecovery::not_attempted(f));
                 solutions.push(None);
                 continue;
             }
@@ -445,32 +382,7 @@ impl Circuit {
             }
         }
 
-        let mut freqs = Vec::new();
-        let mut data = Vec::new();
-        for (rec, sol) in records.iter().zip(solutions) {
-            if let Some(x) = sol {
-                freqs.push(rec.freq_hz);
-                data.push(x);
-            }
-        }
-        Ok(ResilientAcSweep {
-            ac: AcResult::from_parts(freqs, data, layout),
-            report: RecoveryReport {
-                frequencies: records,
-                stopped,
-            },
-        })
-    }
-}
-
-fn not_attempted(freq_hz: f64) -> FrequencyRecovery {
-    FrequencyRecovery {
-        freq_hz,
-        status: FrequencyStatus::NotAttempted,
-        iterations: 0,
-        rungs_attempted: 0,
-        trajectory: String::new(),
-        elapsed_seconds: 0.0,
+        Ok(ResilientAcSweep::from_records(records, solutions, stopped, layout))
     }
 }
 

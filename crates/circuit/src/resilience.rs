@@ -10,7 +10,8 @@
 //! any) saved the solve, and what it cost.
 
 use crate::ac::AcResult;
-use ind101_numeric::{KrylovRescuePolicy, KrylovRescueRung, SolveBudget};
+use crate::mna::MnaLayout;
+use ind101_numeric::{Complex64, KrylovRescuePolicy, KrylovRescueRung, SolveBudget};
 use std::fmt;
 
 /// What a sweep does when one frequency point fails after the rescue
@@ -215,6 +216,20 @@ impl RecoveryReport {
     }
 }
 
+impl FrequencyRecovery {
+    /// Record for a frequency the sweep stopped before reaching.
+    pub(crate) fn not_attempted(freq_hz: f64) -> Self {
+        Self {
+            freq_hz,
+            status: FrequencyStatus::NotAttempted,
+            iterations: 0,
+            rungs_attempted: 0,
+            trajectory: String::new(),
+            elapsed_seconds: 0.0,
+        }
+    }
+}
+
 /// A resilient AC sweep's partial result: the solutions that were
 /// obtained plus the per-frequency telemetry.
 ///
@@ -228,6 +243,30 @@ pub struct ResilientAcSweep {
     pub ac: AcResult,
     /// Per-frequency outcomes for the full request.
     pub report: RecoveryReport,
+}
+
+impl ResilientAcSweep {
+    /// Assembles the partial result from one record and one optional
+    /// solution per requested frequency, keeping the solved ones.
+    pub(crate) fn from_records(
+        records: Vec<FrequencyRecovery>,
+        solutions: Vec<Option<Vec<Complex64>>>,
+        stopped: Option<String>,
+        layout: MnaLayout,
+    ) -> Self {
+        let (freqs, data) = records
+            .iter()
+            .zip(solutions)
+            .filter_map(|(rec, sol)| sol.map(|x| (rec.freq_hz, x)))
+            .unzip();
+        Self {
+            ac: AcResult::from_parts(freqs, data, layout),
+            report: RecoveryReport {
+                frequencies: records,
+                stopped,
+            },
+        }
+    }
 }
 
 #[cfg(test)]

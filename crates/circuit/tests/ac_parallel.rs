@@ -1,10 +1,14 @@
 //! The parallel AC sweep must be a pure speed-up: identical results to
 //! the serial sweep (frequencies are only *partitioned* across threads,
 //! never reordered or re-solved differently), and identical error
-//! semantics.
+//! semantics. The resilience layer must likewise leave the bits alone
+//! when no frequency fails.
 
-use ind101_circuit::{AcOptions, Circuit, SourceWave};
-use ind101_numeric::ParallelConfig;
+use ind101_circuit::{
+    AcOptions, Circuit, InductorSystem, MatrixFreeAcOptions, NodeId, ResilienceOptions,
+    SourceWave,
+};
+use ind101_numeric::{Complex64, LinearOperator, Matrix, ParallelConfig};
 
 /// RLC ladder with an AC source: exercises resistors, capacitors and
 /// the inductor branch equations in the complex MNA system.
@@ -77,4 +81,80 @@ fn error_semantics_are_thread_invariant() {
         .ac_sweep_with(&opts, &ParallelConfig::with_threads(4))
         .expect_err("parallel should reject");
     assert_eq!(format!("{e1}"), format!("{e4}"));
+}
+
+/// Linear coupled-RL probe circuit with one inductor system whose
+/// `−jωM` block the matrix-free sweep can override.
+fn coupled(n: usize) -> (Circuit, Matrix<f64>, NodeId) {
+    let mut c = Circuit::new();
+    let nodes: Vec<_> = (0..n).map(|i| c.node(format!("n{i}"))).collect();
+    c.isrc_ac(Circuit::GND, nodes[0], SourceWave::dc(0.0), 1.0);
+    for (i, &nd) in nodes.iter().enumerate() {
+        c.resistor(nd, Circuit::GND, 3.0 + i as f64);
+    }
+    let m = Matrix::from_fn(n, n, |i, j| {
+        if i == j {
+            1e-9
+        } else {
+            0.4e-9 / (1.0 + i.abs_diff(j) as f64)
+        }
+    });
+    c.add_inductor_system(InductorSystem {
+        branches: nodes.iter().map(|&nd| (nd, Circuit::GND)).collect(),
+        m: m.clone(),
+    })
+    .unwrap();
+    let probe = nodes[1];
+    (c, m, probe)
+}
+
+fn freqs() -> AcOptions {
+    AcOptions {
+        freqs_hz: vec![1e8, 1e9, 5e9],
+    }
+}
+
+#[test]
+fn no_fault_resilient_sweep_is_bit_identical() {
+    let (c, m, probe) = coupled(10);
+    let opts = freqs();
+    let mf = MatrixFreeAcOptions::default();
+    let ov: &[(usize, &dyn LinearOperator<Complex64>)] = &[(0, &m)];
+    let plain = c.ac_sweep_matrix_free(&opts, ov, &mf).unwrap();
+    // Both the strict (rescue off) and the default (rescue armed, never
+    // fired) configurations must reproduce the plain sweep bitwise.
+    for res in [ResilienceOptions::strict(), ResilienceOptions::default()] {
+        let sweep = c
+            .ac_sweep_matrix_free_resilient(&opts, ov, &mf, &res)
+            .unwrap();
+        assert!(sweep.report.clean(), "{}", sweep.report.summary());
+        assert_eq!(sweep.ac.freqs_hz, opts.freqs_hz);
+        for idx in 0..opts.freqs_hz.len() {
+            let a = plain.voltage(probe, idx);
+            let b = sweep.ac.voltage(probe, idx);
+            assert!(a == b, "policy {:?} f[{idx}]: {a:?} != {b:?}", res.policy);
+        }
+    }
+}
+
+#[test]
+fn dense_resilient_sweep_is_bit_identical_without_faults() {
+    let (c, _, probe) = coupled(10);
+    let opts = freqs();
+    let cfg = ParallelConfig {
+        threads: 1,
+        ..Default::default()
+    };
+    let plain = c.ac_sweep_with(&opts, &cfg).unwrap();
+    // The plain sweep runs under `strict()`, so the default leg (rescue
+    // armed, never fired) is the one that checks the resilience layer.
+    for res in [ResilienceOptions::strict(), ResilienceOptions::default()] {
+        let sweep = c.ac_sweep_resilient(&opts, &cfg, &res).unwrap();
+        assert!(sweep.report.clean(), "{}", sweep.report.summary());
+        for idx in 0..opts.freqs_hz.len() {
+            let a = plain.voltage(probe, idx);
+            let b = sweep.ac.voltage(probe, idx);
+            assert!(a == b, "policy {:?} f[{idx}]: {a:?} != {b:?}", res.policy);
+        }
+    }
 }

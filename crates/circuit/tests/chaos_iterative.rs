@@ -6,8 +6,8 @@
 //! starvation, and cancellation. Every test asserts the contract of
 //! ISSUE 7's tentpole — the resilient sweeps either recover via a
 //! rescue rung, skip with a per-frequency typed report, or fail typed;
-//! they never panic, never hang, and are bit-identical to the plain
-//! sweeps when no fault fires.
+//! they never panic and never hang. Bit-identity with no fault armed is
+//! checked in the default build, in `ac_parallel.rs`.
 
 #![cfg(feature = "solver-faults")]
 
@@ -59,30 +59,6 @@ fn coupled(n: usize) -> (Circuit, Matrix<f64>, NodeId) {
 fn freqs() -> AcOptions {
     AcOptions {
         freqs_hz: vec![1e8, 1e9, 5e9],
-    }
-}
-
-#[test]
-fn no_fault_resilient_sweep_is_bit_identical() {
-    let _g = exclusive();
-    let (c, m, probe) = coupled(10);
-    let opts = freqs();
-    let mf = MatrixFreeAcOptions::default();
-    let ov: &[(usize, &dyn LinearOperator<Complex64>)] = &[(0, &m)];
-    let plain = c.ac_sweep_matrix_free(&opts, ov, &mf).unwrap();
-    // Both the strict (rescue off) and the default (rescue armed, never
-    // fired) configurations must reproduce the plain sweep bitwise.
-    for res in [ResilienceOptions::strict(), ResilienceOptions::default()] {
-        let sweep = c
-            .ac_sweep_matrix_free_resilient(&opts, ov, &mf, &res)
-            .unwrap();
-        assert!(sweep.report.clean(), "{}", sweep.report.summary());
-        assert_eq!(sweep.ac.freqs_hz, opts.freqs_hz);
-        for idx in 0..opts.freqs_hz.len() {
-            let a = plain.voltage(probe, idx);
-            let b = sweep.ac.voltage(probe, idx);
-            assert!(a == b, "policy {:?} f[{idx}]: {a:?} != {b:?}", res.policy);
-        }
     }
 }
 
@@ -261,25 +237,6 @@ fn pre_cancelled_token_returns_partial_immediately() {
     assert_eq!(sweep.report.not_attempted_count(), opts.freqs_hz.len());
     let why = sweep.report.stopped.expect("stop reason recorded");
     assert!(why.contains("cancelled"), "{why}");
-}
-
-#[test]
-fn dense_resilient_sweep_is_bit_identical_without_faults() {
-    let _g = exclusive();
-    let (c, _, probe) = coupled(10);
-    let opts = freqs();
-    let cfg = ParallelConfig {
-        threads: 1,
-        ..Default::default()
-    };
-    let plain = c.ac_sweep_with(&opts, &cfg).unwrap();
-    let sweep = c
-        .ac_sweep_resilient(&opts, &cfg, &ResilienceOptions::strict())
-        .unwrap();
-    assert!(sweep.report.clean());
-    for idx in 0..opts.freqs_hz.len() {
-        assert!(plain.voltage(probe, idx) == sweep.ac.voltage(probe, idx));
-    }
 }
 
 #[test]

@@ -201,22 +201,6 @@ pub struct GmdCacheStats {
     pub entries: usize,
 }
 
-impl GmdCacheStats {
-    /// Hit rate over all lookups, in `[0, 1]` (0 when no lookups ran).
-    #[must_use]
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses + self.collisions;
-        if total == 0 {
-            0.0
-        } else {
-            #[allow(clippy::cast_precision_loss)]
-            {
-                self.hits as f64 / total as f64
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -112,11 +112,6 @@ impl PartialInductance {
         &self.matrix
     }
 
-    /// Mutable access for sparsification algorithms.
-    pub fn matrix_mut(&mut self) -> &mut Matrix<f64> {
-        &mut self.matrix
-    }
-
     /// The extracted segments, aligned with matrix indices.
     pub fn segments(&self) -> &[Segment] {
         &self.segments

@@ -224,6 +224,9 @@ fn build_probe(par: &PeecParasitics, spec: &LoopPortSpec) -> Result<ProbeCircuit
 /// ([`GridInductanceOperator::detect`]), a dense matvec otherwise.
 /// `Auto` defers to `IND101_EXTRACTION_BACKEND`, then to problem size.
 ///
+/// This is [`extract_loop_rl_resilient`] under
+/// `ResilienceOptions::strict()`.
+///
 /// # Errors
 ///
 /// Fails if the named ports don't exist, the network is singular, the
@@ -236,39 +239,8 @@ pub fn extract_loop_rl_backend(
     cfg: &ParallelConfig,
     backend: ExtractionBackend,
 ) -> Result<LoopExtraction, CircuitError> {
-    let probe = build_probe(par, spec)?;
-    let resolved = backend.resolve(probe.inductive.len())?;
-    let opts = AcOptions {
-        freqs_hz: freqs_hz.to_vec(),
-    };
-    let ac = match (resolved, probe.inductor_system) {
-        (ExtractionBackend::MatrixFree, Some(sys)) => {
-            let grid = GridInductanceOperator::detect(par.layout.tech(), &probe.inductive);
-            let op: &dyn LinearOperator<Complex64> = match grid.as_ref() {
-                Some(g) => g,
-                None => &probe.circuit.inductor_systems()[sys].m,
-            };
-            probe
-                .circuit
-                .ac_sweep_matrix_free(&opts, &[(sys, op)], &MatrixFreeAcOptions::default())?
-        }
-        // A matrix-free request with no inductive system degenerates to
-        // the plain sweep: there is no `−jωM` block to keep matrix-free.
-        _ => probe.circuit.ac_sweep_with(&opts, cfg)?,
-    };
-
-    let mut r_ohm = Vec::with_capacity(freqs_hz.len());
-    let mut l_h = Vec::with_capacity(freqs_hz.len());
-    for (i, &f) in freqs_hz.iter().enumerate() {
-        let z = ac.voltage(probe.driver_node, i) - ac.voltage(probe.port_return, i);
-        r_ohm.push(z.re);
-        l_h.push(z.im / (2.0 * std::f64::consts::PI * f));
-    }
-    Ok(LoopExtraction {
-        freqs_hz: freqs_hz.to_vec(),
-        r_ohm,
-        l_h,
-    })
+    extract_loop_rl_resilient(par, spec, freqs_hz, cfg, backend, &ResilienceOptions::strict())
+        .map(|r| r.extraction)
 }
 
 /// A loop extraction carried out under the solve-resilience layer:
@@ -283,7 +255,7 @@ pub struct ResilientLoopExtraction {
     pub report: RecoveryReport,
 }
 
-/// [`extract_loop_rl_backend`] wrapped in the solve-resilience layer.
+/// [`extract_loop_rl_backend`] under the solve-resilience layer.
 ///
 /// The backend resolution honours the memory budget
 /// ([`ExtractionBackend::resolve_with_budget`]): a dense path whose
@@ -294,9 +266,6 @@ pub struct ResilientLoopExtraction {
 /// [`ind101_circuit::FailurePolicy`], so a single bad frequency skips
 /// with a typed record instead of destroying the sweep, and the caller
 /// gets back whatever solved.
-///
-/// With `ResilienceOptions::strict()` and no faults the result is
-/// bit-identical to [`extract_loop_rl_backend`].
 ///
 /// # Errors
 ///
@@ -330,6 +299,8 @@ pub fn extract_loop_rl_resilient(
                 resilience,
             )?
         }
+        // A matrix-free request with no inductive system degenerates to
+        // the plain sweep: there is no `−jωM` block to keep matrix-free.
         _ => probe.circuit.ac_sweep_resilient(&opts, cfg, resilience)?,
     };
 

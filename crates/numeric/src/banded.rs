@@ -77,11 +77,6 @@ impl<T: Scalar> BandedMatrix<T> {
         self.ku
     }
 
-    /// Whether [`Self::factor`] has completed.
-    pub fn is_factored(&self) -> bool {
-        self.factored
-    }
-
     #[inline]
     fn ldab(&self) -> usize {
         2 * self.kl + self.ku + 1

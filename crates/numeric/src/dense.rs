@@ -65,16 +65,6 @@ impl<T: Scalar> Matrix<T> {
         Self { nrows, ncols, data }
     }
 
-    /// Builds a matrix taking ownership of a row-major buffer.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `data.len() != nrows * ncols`.
-    pub fn from_vec(nrows: usize, ncols: usize, data: Vec<T>) -> Self {
-        assert_eq!(data.len(), nrows * ncols, "buffer length mismatch");
-        Self { nrows, ncols, data }
-    }
-
     /// Number of rows.
     #[inline]
     pub fn nrows(&self) -> usize {
@@ -228,13 +218,6 @@ impl<T: Scalar> Matrix<T> {
             }
         }
         Ok(out)
-    }
-
-    /// Scales every entry by `k`.
-    pub fn scale_in_place(&mut self, k: T) {
-        for v in &mut self.data {
-            *v *= k;
-        }
     }
 
     /// Returns `self + rhs` scaled: `self + k·rhs`.

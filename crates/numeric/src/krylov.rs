@@ -352,41 +352,6 @@ impl<T: Scalar> BlockJacobiPreconditioner<T> {
         }
         Ok(Self { block, n, factors })
     }
-
-    /// Factors the `block`-sized diagonal blocks of a sparse matrix —
-    /// the rescue-ladder escalation path for operators that are never
-    /// materialized densely. Entries outside the sparsity pattern are
-    /// zero in each block.
-    ///
-    /// # Errors
-    ///
-    /// Propagates a singular block factorization and non-square shapes.
-    pub fn from_csr(a: &CsrMatrix<T>, block: usize) -> Result<Self, NumericError> {
-        let n = a.nrows();
-        if a.ncols() != n {
-            return Err(NumericError::NotSquare {
-                rows: n,
-                cols: a.ncols(),
-            });
-        }
-        let block = block.clamp(1, n.max(1));
-        let mut factors = Vec::new();
-        let mut start = 0;
-        while start < n {
-            let len = block.min(n - start);
-            let mut sub = Matrix::zeros(len, len);
-            for i in 0..len {
-                for (j, v) in a.row_iter(start + i) {
-                    if j >= start && j < start + len {
-                        sub[(i, j - start)] = v;
-                    }
-                }
-            }
-            factors.push(sub.lu()?);
-            start += len;
-        }
-        Ok(Self { block, n, factors })
-    }
 }
 
 impl<T: Scalar> Preconditioner<T> for BlockJacobiPreconditioner<T> {

@@ -58,7 +58,6 @@ pub mod partition;
 mod qr;
 mod scalar;
 mod sparse;
-mod sparse_cholesky;
 mod sparse_lu;
 mod supernode;
 mod toeplitz;
@@ -91,7 +90,6 @@ pub use partition::ParallelConfig;
 pub use qr::{mgs_orthonormalize, orthonormalize_against};
 pub use scalar::Scalar;
 pub use sparse::{CsrMatrix, Triplets};
-pub use sparse_cholesky::{SparseCholesky, SymbolicCholesky};
 pub use sparse_lu::{SparseLu, SparseLuStats, SymbolicLu};
 pub use supernode::SupernodePartition;
 pub use toeplitz::ToeplitzOperator2D;

@@ -117,16 +117,6 @@ impl ToeplitzOperator2D {
         }
     }
 
-    /// Grid rows `n1`.
-    pub fn rows_dim(&self) -> usize {
-        self.n1
-    }
-
-    /// Grid columns `n2`.
-    pub fn cols_dim(&self) -> usize {
-        self.n2
-    }
-
     /// Operator dimension `n1·n2`.
     pub fn len(&self) -> usize {
         self.n1 * self.n2
@@ -135,11 +125,6 @@ impl ToeplitzOperator2D {
     /// Whether the operator is empty (never: dimensions are ≥ 1).
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// Padded workspace size `m1·m2` (the FFT grid).
-    pub fn workspace_len(&self) -> usize {
-        self.m1 * self.m2
     }
 
     /// Core convolution: `y ← T·x` with caller-supplied complex views.
