@@ -187,7 +187,7 @@ impl Circuit {
                 _ => None,
             })
             .collect();
-        let wb = WoodburySolver::build_with(&static_t, &layout, &mosfets, false, self.effective_backend())
+        let wb = WoodburySolver::build_with(&static_t, &layout, &mosfets, false, self.effective_backend(), None)
             .map_err(|e| annotate_singular(self, &layout, e))?;
 
         let mut rungs: Vec<RungTrace> = Vec::new();
@@ -246,7 +246,7 @@ impl Circuit {
                     }
                 }
                 let Ok(wb_g) =
-                    WoodburySolver::build_with(&t, &layout, &mosfets, true, self.effective_backend())
+                    WoodburySolver::build_with(&t, &layout, &mosfets, true, self.effective_backend(), None)
                 else {
                     solved = None;
                     break;
@@ -284,7 +284,7 @@ impl Circuit {
             // Refinement enabled: homotopy steps may pass through
             // marginal bias points where the plain solve loses digits.
             let wb_s =
-                WoodburySolver::build_with(&static_t, &layout, &mosfets, true, self.effective_backend())
+                WoodburySolver::build_with(&static_t, &layout, &mosfets, true, self.effective_backend(), None)
                     .map_err(|e| annotate_singular(self, &layout, e))?;
             let mut trace = RungTrace {
                 rung: RescueRung::SourceStepping,

@@ -15,7 +15,8 @@ use crate::elements::Mosfet;
 use crate::mna::MnaLayout;
 use crate::solver::{Solver, SolverBackend};
 use crate::{CircuitError, Result};
-use ind101_numeric::{Matrix, NumericError, Triplets};
+use ind101_numeric::{Matrix, NumericError, SymbolicLu, Triplets};
+use std::sync::Arc;
 
 /// Per-device unknown indices (`None` = terminal at ground).
 #[derive(Clone, Copy, Debug)]
@@ -45,21 +46,24 @@ impl WoodburySolver {
         layout: &MnaLayout,
         mosfets: &[Mosfet],
     ) -> Result<Self> {
-        Self::build_with(static_t, layout, mosfets, false, SolverBackend::Auto)
+        Self::build_with(static_t, layout, mosfets, false, SolverBackend::Auto, None)
     }
 
     /// Like [`WoodburySolver::build`], optionally enabling iterative
     /// refinement of ill-conditioned base solves (rescue/adaptive paths;
     /// the default path must stay bit-for-bit reproducible) and forcing
-    /// a linear-solver family for the factored base matrix.
+    /// a linear-solver family for the factored base matrix. `hint`
+    /// forwards a sparse symbolic factorization from an earlier
+    /// same-pattern build, so only the numeric phase re-runs.
     pub(crate) fn build_with(
         static_t: &Triplets,
         layout: &MnaLayout,
         mosfets: &[Mosfet],
         refine: bool,
         backend: SolverBackend,
+        hint: Option<&Arc<SymbolicLu>>,
     ) -> Result<Self> {
-        let mut base = Solver::build_with(static_t, backend, None)?;
+        let mut base = Solver::build_with(static_t, backend, hint)?;
         if refine {
             base = base.with_refinement();
         }
@@ -84,6 +88,12 @@ impl WoodburySolver {
             z.push(base.solve(&u)?);
         }
         Ok(Self { base, z, idx, n })
+    }
+
+    /// Sparse symbolic pattern of the base matrix, for reuse by the next
+    /// same-structure build.
+    pub(crate) fn symbolic_hint(&self) -> Option<Arc<SymbolicLu>> {
+        self.base.symbolic_hint()
     }
 
     /// One Newton update: solves `J(x_lin)·x = rhs + Norton(x_lin)`

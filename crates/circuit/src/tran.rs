@@ -260,7 +260,7 @@ impl StepSolver {
     ) -> Result<Self> {
         Ok(if nonlinear {
             Self::Woodbury(WoodburySolver::build_with(
-                static_t, layout, mosfets, refine, backend,
+                static_t, layout, mosfets, refine, backend, hint,
             )?)
         } else {
             let mut s = Solver::build_with(static_t, backend, hint)?;
@@ -271,12 +271,12 @@ impl StepSolver {
         })
     }
 
-    /// Sparse symbolic pattern of the linear backend, for reuse by the
-    /// next same-structure build.
+    /// Sparse symbolic pattern of the factored (base) matrix, for reuse
+    /// by the next same-structure build.
     fn symbolic_hint(&self) -> Option<Arc<SymbolicLu>> {
         match self {
             Self::Linear(s) => s.symbolic_hint(),
-            Self::Woodbury(_) => None,
+            Self::Woodbury(wb) => wb.symbolic_hint(),
         }
     }
 
@@ -965,6 +965,42 @@ mod tests {
         // τ equals the pulse width, so the exact response peaks near
         // 1 − e⁻¹ ≈ 0.63 V; far less means the pulse was stepped over.
         assert!(v.max() > 0.5, "pulse missed: max {}", v.max());
+    }
+
+    #[test]
+    fn woodbury_step_solvers_share_one_symbolic_analysis() {
+        // An inverter driving an RC ladder long enough that the sparse
+        // backend, not the small-system dense floor, factors the base.
+        let mut c = Circuit::new();
+        c.set_solver_backend(SolverBackend::Sparse);
+        let vdd = c.node("vdd");
+        let inp = c.node("in");
+        let out = c.node("out");
+        c.vsrc(vdd, Circuit::GND, SourceWave::dc(1.8));
+        c.vsrc(inp, Circuit::GND, SourceWave::step(0.0, 1.8, 50e-12, 30e-12));
+        c.inverter(inp, out, vdd, Circuit::GND, InverterParams::default());
+        let mut prev = out;
+        for k in 0..60 {
+            let n = c.node(format!("n{k}"));
+            c.resistor(prev, n, 5.0);
+            c.capacitor(n, Circuit::GND, 1e-15);
+            prev = n;
+        }
+        let layout = MnaLayout::build(&c);
+        assert!(layout.n > crate::solver::SMALL_DENSE);
+        let mosfets = TranState::new(&c, &layout, &vec![0.0; layout.n]).mosfets;
+        let h = 1e-12;
+        let build = |scheme, hint| {
+            let st = assemble_static(&c, &layout, scheme, h);
+            StepSolver::build(&st, &layout, &mosfets, true, false, SolverBackend::Sparse, hint)
+                .unwrap()
+        };
+        let be = build(Scheme::Be, None);
+        assert!(matches!(be, StepSolver::Woodbury(_)));
+        let hint = be.symbolic_hint().expect("sparse base matrix carries a pattern");
+        let trap = build(Scheme::Trap, Some(&hint));
+        let reused = trap.symbolic_hint().expect("sparse base matrix carries a pattern");
+        assert!(Arc::ptr_eq(&hint, &reused), "trapezoidal build re-analysed the pattern");
     }
 
     #[test]

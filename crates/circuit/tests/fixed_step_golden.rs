@@ -5,7 +5,9 @@
 //! rescue layer landed; any change to the default path shows up as a
 //! hash mismatch here.
 
-use ind101_circuit::{Circuit, InverterParams, SourceWave, TranOptions, TranResult};
+use ind101_circuit::{
+    Circuit, InverterParams, SolverBackend, SourceWave, TranOptions, TranResult,
+};
 use ind101_numeric::Matrix;
 
 /// FNV-1a over the raw bit patterns of every recorded sample.
@@ -83,6 +85,35 @@ fn inverter_rlc() -> (Circuit, Vec<ind101_circuit::NodeId>) {
     (c, vec![out, far, tail])
 }
 
+/// An inverter driving a 32-section RLC line, forced onto the sparse
+/// backend: 101 unknowns, well above the solver's small-system dense
+/// floor, so the Woodbury base matrices go through the sparse LU and
+/// its symbolic analysis.
+fn inverter_rlc_line_sparse() -> (Circuit, Vec<ind101_circuit::NodeId>) {
+    let mut c = Circuit::new();
+    c.set_solver_backend(SolverBackend::Sparse);
+    let vdd = c.node("vdd");
+    let inp = c.node("in");
+    let out = c.node("out");
+    c.vsrc(vdd, Circuit::GND, SourceWave::dc(1.8));
+    c.vsrc(inp, Circuit::GND, SourceWave::step(0.0, 1.8, 30e-12, 20e-12));
+    c.inverter(inp, out, vdd, Circuit::GND, InverterParams::default());
+    let mut prev = out;
+    let mut probes = vec![out];
+    for k in 0..32 {
+        let mid = c.node(format!("m{k}"));
+        let n = c.node(format!("n{k}"));
+        c.resistor(prev, mid, 1.5 + 0.05 * k as f64);
+        c.inductor(mid, n, 25e-12);
+        c.capacitor(n, Circuit::GND, 2e-15);
+        if k % 8 == 7 {
+            probes.push(n);
+        }
+        prev = n;
+    }
+    (c, probes)
+}
+
 #[test]
 fn rc_ladder_fixed_step_is_bit_identical_to_seed() {
     let (c, probes) = rc_ladder();
@@ -102,4 +133,26 @@ fn nonlinear_fixed_step_is_bit_identical_to_seed() {
     let (c, probes) = inverter_rlc();
     let res = c.transient(&TranOptions::new(1e-12, 500e-12)).unwrap();
     assert_eq!(waveform_hash(&res, &probes), 0xff52076e654184a3);
+}
+
+/// Pinned before the Woodbury step solvers began sharing one sparse
+/// symbolic analysis between the backward-Euler and trapezoidal
+/// systems; the reuse must not move a single bit.
+#[test]
+fn sparse_nonlinear_fixed_step_is_bit_identical() {
+    let (c, probes) = inverter_rlc_line_sparse();
+    let res = c.transient(&TranOptions::new(1e-12, 300e-12)).unwrap();
+    let far = res.voltage(probes[probes.len() - 1]);
+    assert!(far.values[0] > 1.7 && far.last_value() < 0.1, "line did not switch");
+    assert_eq!(waveform_hash(&res, &probes), 0xb9528480dd7dd121);
+}
+
+/// The adaptive path builds one Woodbury solver per step size; pinned
+/// alongside the fixed-step hash for the same reason.
+#[test]
+fn sparse_nonlinear_adaptive_is_bit_identical() {
+    let (c, probes) = inverter_rlc_line_sparse();
+    let res = c.transient(&TranOptions::new(1e-12, 300e-12).adaptive()).unwrap();
+    assert!(res.steps_rejected > 0, "controller never changed the step");
+    assert_eq!(waveform_hash(&res, &probes), 0x5813270091ca07ed);
 }

@@ -49,7 +49,7 @@ use crate::supernode::{factor_supernodal, BlockFactorError, SupernodePartition};
 use crate::{NumericError, Result};
 use std::sync::Arc;
 
-/// Sentinel for "no next column" in the symbolic merge list.
+/// Sentinel for an unset index in the symbolic merges.
 const NONE: usize = usize::MAX;
 
 /// Structural fingerprint of a CSR pattern: (nnz, FNV-1a over the row
@@ -155,7 +155,87 @@ pub struct SymbolicLu {
 /// ascending): returns the exact `(l_cols, u_cols)` fill pattern of a
 /// static-pivot LU in the given order. `u_cols` rows lead with the
 /// diagonal, which is inserted if structurally absent.
+///
+/// Row `i`'s pattern is the smallest column set containing the row's
+/// own entries and the diagonal that, for every member `j < i`, also
+/// contains `U_j`. Merging every `U_j` in full costs O(n³) on a dense
+/// block, so rows are merged with **symmetric pruning** (Eisenstat &
+/// Liu, 1992) transposed to rows: row `j`'s prune point `s_j` is the
+/// first `k > j` with `k ∈ U_j` and `j ∈ L_k`. Row `s_j` absorbed all of
+/// `U_j`, so any later row `i > s_j` that holds `j` also holds `s_j`
+/// and gets `U_j ∩ (s_j, n)` through `U_{s_j}`; it merges only the
+/// prefix of `U_j` up to `s_j`. The closure — hence the pattern — is
+/// unchanged. On structurally symmetric patterns `s_j` is the etree
+/// parent, so a row pulls one column per `L` entry except from its etree
+/// children, whose rows it merges in full: O(|L| + |U|) merge work plus
+/// one sort per row.
 fn symbolic_merge(rows_p: &[Vec<usize>]) -> (Vec<Vec<usize>>, Vec<Vec<usize>>) {
+    let n = rows_p.len();
+    let mut l_cols: Vec<Vec<usize>> = Vec::with_capacity(n);
+    let mut u_cols: Vec<Vec<usize>> = Vec::with_capacity(n);
+    // Per row `j`: prune point `s_j` (`NONE` until found) and the end
+    // of the `u_cols[j]` prefix that rows past `s_j` still merge.
+    let mut prune_at = vec![NONE; n];
+    let mut prune_end = vec![0usize; n];
+    // `mark[c] == i` ⇔ column `c` is already in row `i`'s pattern.
+    let mut mark = vec![NONE; n];
+    let mut cols: Vec<usize> = Vec::new();
+    let mut stack: Vec<usize> = Vec::new();
+    for i in 0..n {
+        cols.clear();
+        for &c in rows_p[i].iter().chain(std::iter::once(&i)) {
+            if mark[c] != i {
+                mark[c] = i;
+                cols.push(c);
+                if c < i {
+                    stack.push(c);
+                }
+            }
+        }
+        // Closure: every member below the diagonal is an L entry whose
+        // (pruned) U row merges in. Membership, not visiting order,
+        // determines the result.
+        while let Some(j) = stack.pop() {
+            let end = if prune_at[j] < i {
+                prune_end[j]
+            } else {
+                u_cols[j].len()
+            };
+            for &c in &u_cols[j][1..end] {
+                if mark[c] != i {
+                    mark[c] = i;
+                    cols.push(c);
+                    if c < i {
+                        stack.push(c);
+                    }
+                }
+            }
+        }
+        cols.sort_unstable();
+        let split = cols.partition_point(|&c| c < i);
+        let lc = cols[..split].to_vec();
+        let uc = cols[split..].to_vec();
+        debug_assert_eq!(uc.first().copied(), Some(i), "diagonal must lead U row");
+        // Row `i` is the prune point of every L entry `j` that has not
+        // found one yet and holds `i` in its U row.
+        for &j in &lc {
+            if prune_at[j] == NONE {
+                if let Ok(pos) = u_cols[j].binary_search(&i) {
+                    prune_at[j] = i;
+                    prune_end[j] = pos + 1;
+                }
+            }
+        }
+        l_cols.push(lc);
+        u_cols.push(uc);
+    }
+    (l_cols, u_cols)
+}
+
+/// The unpruned row merge: every `L` entry merges its full `U` row into
+/// a sorted linked list. Kept as the oracle for [`symbolic_merge`].
+#[cfg(test)]
+fn symbolic_merge_naive(rows_p: &[Vec<usize>]) -> (Vec<Vec<usize>>, Vec<Vec<usize>>) {
     let n = rows_p.len();
     let mut l_cols: Vec<Vec<usize>> = Vec::with_capacity(n);
     let mut u_cols: Vec<Vec<usize>> = Vec::with_capacity(n);
@@ -1347,6 +1427,205 @@ mod tests {
         let b: Vec<f64> = (0..n).map(|i| (i as f64 * 0.21).sin()).collect();
         // Bit-identical, not merely close.
         assert_eq!(lu1.solve(&b).unwrap(), lu4.solve(&b).unwrap());
+    }
+
+    /// Deterministic xorshift64* stream for pattern generation.
+    struct Xorshift(u64);
+
+    impl Xorshift {
+        fn below(&mut self, n: usize) -> usize {
+            self.0 ^= self.0 >> 12;
+            self.0 ^= self.0 << 25;
+            self.0 ^= self.0 >> 27;
+            (self.0.wrapping_mul(0x2545_f491_4f6c_dd1d) >> 33) as usize % n
+        }
+
+        fn chance(&mut self, percent: usize) -> bool {
+            self.below(100) < percent
+        }
+    }
+
+    /// Structural rows of `P·A·Pᵀ` for a pattern given as entry pairs,
+    /// sorted and deduplicated.
+    fn permuted_pattern(n: usize, entries: &[(usize, usize)], p: &Permutation) -> Vec<Vec<usize>> {
+        let mut rows: Vec<Vec<usize>> = vec![Vec::new(); n];
+        for &(i, j) in entries {
+            rows[p.new_of(i)].push(p.new_of(j));
+        }
+        for row in &mut rows {
+            row.sort_unstable();
+            row.dedup();
+        }
+        rows
+    }
+
+    /// AMD order of a pattern with structurally absent diagonals
+    /// deferred, exactly as the analysis orders it.
+    fn amd_order(n: usize, entries: &[(usize, usize)]) -> Permutation {
+        let mut adj: Vec<Vec<usize>> = vec![Vec::new(); n];
+        let mut diag = vec![false; n];
+        for &(i, j) in entries {
+            if i == j {
+                diag[i] = true;
+            } else {
+                adj[i].push(j);
+                adj[j].push(i);
+            }
+        }
+        for row in &mut adj {
+            row.sort_unstable();
+            row.dedup();
+        }
+        let defer: Vec<bool> = diag.iter().map(|&d| !d).collect();
+        approximate_minimum_degree(&adj, &defer)
+    }
+
+    /// Random order that keeps diagonal-free rows last, the way the
+    /// static pivot order defers them.
+    fn shuffled_order(n: usize, entries: &[(usize, usize)], rng: &mut Xorshift) -> Permutation {
+        let mut diag = vec![false; n];
+        for &(i, j) in entries {
+            if i == j {
+                diag[i] = true;
+            }
+        }
+        let mut fwd: Vec<usize> = (0..n).collect();
+        for k in (1..n).rev() {
+            fwd.swap(k, rng.below(k + 1));
+        }
+        fwd.sort_by_key(|&v| !diag[v]);
+        Permutation::from_forward(fwd).unwrap()
+    }
+
+    fn assert_merges_agree(label: &str, rows: &[Vec<usize>]) {
+        let pruned = symbolic_merge(rows);
+        let naive = symbolic_merge_naive(rows);
+        assert!(pruned == naive, "{label}: pruned row merge differs from the naive one");
+    }
+
+    #[test]
+    fn pruned_merge_matches_naive_on_random_patterns() {
+        let mut rng = Xorshift(0x9e37_79b9_7f4a_7c15);
+        for case in 0..300 {
+            let n = 1 + rng.below(60);
+            let density = 2 + rng.below(25);
+            let symmetric = case % 2 == 0;
+            let mut entries = Vec::new();
+            for i in 0..n {
+                // Roughly one row in six has no structural diagonal.
+                if !rng.chance(16) {
+                    entries.push((i, i));
+                }
+                for j in 0..n {
+                    if j != i && (!symmetric || j < i) && rng.chance(density) {
+                        entries.push((i, j));
+                        if symmetric {
+                            entries.push((j, i));
+                        }
+                    }
+                }
+            }
+            let orders = [
+                Permutation::identity(n),
+                amd_order(n, &entries),
+                shuffled_order(n, &entries, &mut rng),
+            ];
+            for (k, p) in orders.iter().enumerate() {
+                let rows = permuted_pattern(n, &entries, p);
+                assert_merges_agree(&format!("case {case} (n={n}, order {k})"), &rows);
+            }
+        }
+    }
+
+    #[test]
+    fn pruned_merge_matches_naive_on_deferred_diagonals() {
+        // Grid conductance rows plus voltage-source incidence rows with
+        // no diagonal, eliminated last: the deferred pivots only receive
+        // their diagonal as fill.
+        let (w, h) = (9usize, 7usize);
+        let nodes = w * h;
+        let sources = [0usize, w - 1, nodes / 2, nodes - 1];
+        let n = nodes + sources.len();
+        let mut entries = Vec::new();
+        for y in 0..h {
+            for x in 0..w {
+                let v = y * w + x;
+                entries.push((v, v));
+                if x + 1 < w {
+                    entries.extend([(v, v + 1), (v + 1, v)]);
+                }
+                if y + 1 < h {
+                    entries.extend([(v, v + w), (v + w, v)]);
+                }
+            }
+        }
+        for (k, &node) in sources.iter().enumerate() {
+            entries.extend([(nodes + k, node), (node, nodes + k)]);
+        }
+        let mut rng = Xorshift(17);
+        for (k, p) in [
+            Permutation::identity(n),
+            amd_order(n, &entries),
+            shuffled_order(n, &entries, &mut rng),
+        ]
+        .iter()
+        .enumerate()
+        {
+            let rows = permuted_pattern(n, &entries, p);
+            let (_, u) = symbolic_merge(&rows);
+            assert!(u.iter().enumerate().all(|(i, r)| r[0] == i));
+            assert_merges_agree(&format!("grid + sources, order {k}"), &rows);
+        }
+    }
+
+    #[test]
+    fn pruned_merge_matches_naive_on_peec_shaped_pattern() {
+        // PEEC (RLC) shape: an RC grid, a dense clique of mutually
+        // coupled inductor-branch rows each tied to its two end nodes,
+        // and diagonal-free voltage-source rows.
+        let (w, h) = (12usize, 6usize);
+        let nodes = w * h;
+        let branches: Vec<(usize, usize)> = (0..w - 1)
+            .map(|x| (x, x + 1))
+            .chain((0..w - 1).map(|x| (2 * w + x, 2 * w + x + 1)))
+            .chain((0..h - 1).map(|y| (y * w + w / 2, (y + 1) * w + w / 2)))
+            .collect();
+        let nb = branches.len();
+        let sources = [0usize, 2 * w];
+        let n = nodes + nb + sources.len();
+        let mut entries = Vec::new();
+        for y in 0..h {
+            for x in 0..w {
+                let v = y * w + x;
+                entries.push((v, v));
+                if x + 1 < w && y % 2 == 1 {
+                    entries.extend([(v, v + 1), (v + 1, v)]);
+                }
+                if y + 1 < h && x % 3 == 0 {
+                    entries.extend([(v, v + w), (v + w, v)]);
+                }
+            }
+        }
+        for (k, &(a, b)) in branches.iter().enumerate() {
+            let r = nodes + k;
+            entries.extend([(r, a), (a, r), (r, b), (b, r)]);
+            for k2 in 0..nb {
+                entries.push((r, nodes + k2));
+            }
+        }
+        for (k, &node) in sources.iter().enumerate() {
+            let r = nodes + nb + k;
+            entries.extend([(r, node), (node, r)]);
+        }
+        let mut rng = Xorshift(0xdead_beef);
+        let mut orders = vec![Permutation::identity(n), amd_order(n, &entries)];
+        for _ in 0..4 {
+            orders.push(shuffled_order(n, &entries, &mut rng));
+        }
+        for (k, p) in orders.iter().enumerate() {
+            let rows = permuted_pattern(n, &entries, p);
+            assert_merges_agree(&format!("PEEC-shaped, order {k}"), &rows);
+        }
     }
 }
 
