@@ -16,7 +16,8 @@ use crate::netlist::{Circuit, NodeId};
 use crate::rescue::{RescuePolicy, RescueReport, RescueRung, RungTrace};
 use crate::solver::Solver;
 use crate::Result;
-use ind101_numeric::norm_inf;
+use ind101_numeric::{norm_inf, SymbolicLu, Triplets};
+use std::sync::Arc;
 
 /// Maximum Newton iterations for the operating point.
 const MAX_ITER: usize = 200;
@@ -116,6 +117,30 @@ fn damped_newton(
 }
 
 impl Circuit {
+    /// Builds a rescue rung's Woodbury base (refinement on) for the
+    /// static system plus `extra` siemens from every node to ground,
+    /// reusing the plain-Newton base's symbolic analysis `hint`. Every
+    /// node row already carries [`crate::mna::GMIN`] on its diagonal, so
+    /// the extra conductance never changes the pattern; the hint is
+    /// validated and ignored on a mismatch anyway, and the analysis
+    /// depends on the pattern alone, so the reuse never moves a bit.
+    fn rung_base(
+        &self,
+        static_t: &Triplets,
+        layout: &MnaLayout,
+        mosfets: &[Mosfet],
+        extra: f64,
+        hint: Option<&Arc<SymbolicLu>>,
+    ) -> Result<WoodburySolver> {
+        let mut t = static_t.clone();
+        if extra > 0.0 {
+            for i in 0..layout.n_nodes {
+                t.push(i, i, extra);
+            }
+        }
+        WoodburySolver::build_with(&t, layout, mosfets, true, self.effective_backend(), hint)
+    }
+
     /// Computes the DC operating point with sources at their `t = 0`
     /// values; capacitors open, inductors (nearly) short. Plain damped
     /// Newton only — see [`Circuit::dc_op_with`] for the rescue ladder.
@@ -190,6 +215,7 @@ impl Circuit {
         let wb = WoodburySolver::build_with(&static_t, &layout, &mosfets, false, self.effective_backend(), None)
             .map_err(|e| annotate_singular(self, &layout, e))?;
 
+        let hint = wb.symbolic_hint();
         let mut rungs: Vec<RungTrace> = Vec::new();
         let mut total_iterations = 0usize;
 
@@ -239,14 +265,7 @@ impl Circuit {
                 } else {
                     policy.gmin_start * 0.1f64.powi(k as i32)
                 };
-                let mut t = static_t.clone();
-                if extra > 0.0 {
-                    for i in 0..layout.n_nodes {
-                        t.push(i, i, extra);
-                    }
-                }
-                let Ok(wb_g) =
-                    WoodburySolver::build_with(&t, &layout, &mosfets, true, self.effective_backend(), None)
+                let Ok(wb_g) = self.rung_base(&static_t, &layout, &mosfets, extra, hint.as_ref())
                 else {
                     solved = None;
                     break;
@@ -283,9 +302,9 @@ impl Circuit {
         if policy.source_stepping {
             // Refinement enabled: homotopy steps may pass through
             // marginal bias points where the plain solve loses digits.
-            let wb_s =
-                WoodburySolver::build_with(&static_t, &layout, &mosfets, true, self.effective_backend(), None)
-                    .map_err(|e| annotate_singular(self, &layout, e))?;
+            let wb_s = self
+                .rung_base(&static_t, &layout, &mosfets, 0.0, hint.as_ref())
+                .map_err(|e| annotate_singular(self, &layout, e))?;
             let mut trace = RungTrace {
                 rung: RescueRung::SourceStepping,
                 converged: false,
@@ -525,5 +544,56 @@ mod tests {
         let v = op.voltage(hi);
         // ~1 kV (MOSFET at β=1e-9 draws negligible current).
         assert!((v - 1_000.0).abs() < 1.0, "v = {v}");
+    }
+
+    /// The rescue rungs' Woodbury bases — every gmin step and the
+    /// source-stepping base — reuse the plain-Newton base's symbolic
+    /// analysis instead of analysing the pattern afresh.
+    #[test]
+    fn rescue_rung_bases_share_one_symbolic_analysis() {
+        use crate::solver::{SolverBackend, SMALL_DENSE};
+        // An inverter driving an RC ladder long enough that the sparse
+        // backend, not the small-system dense floor, factors the bases.
+        let mut c = Circuit::new();
+        c.set_solver_backend(SolverBackend::Sparse);
+        let vdd = c.node("vdd");
+        let inp = c.node("in");
+        let out = c.node("out");
+        c.vsrc(vdd, Circuit::GND, SourceWave::dc(1.8));
+        c.vsrc(inp, Circuit::GND, SourceWave::dc(0.4));
+        c.inverter(inp, out, vdd, Circuit::GND, InverterParams::default());
+        let mut prev = out;
+        for k in 0..60 {
+            let n = c.node(format!("n{k}"));
+            c.resistor(prev, n, 5.0);
+            c.capacitor(n, Circuit::GND, 1e-15);
+            prev = n;
+        }
+        let layout = MnaLayout::build(&c);
+        assert!(layout.n > SMALL_DENSE);
+        let static_t = assemble_static(&c, &layout, Scheme::Dc, 0.0);
+        let mosfets: Vec<Mosfet> = c
+            .elements()
+            .iter()
+            .filter_map(|e| match e {
+                Element::Transistor(m) => Some(m.clone()),
+                _ => None,
+            })
+            .collect();
+        let backend = SolverBackend::Sparse;
+        let plain =
+            WoodburySolver::build_with(&static_t, &layout, &mosfets, false, backend, None).unwrap();
+        let hint = plain.symbolic_hint().expect("sparse base carries a pattern");
+        let policy = RescuePolicy::full();
+        // Gmin steps decades down from `gmin_start`, then the unmodified
+        // system (last gmin step, source stepping).
+        let extras = (0..policy.gmin_steps)
+            .map(|k| policy.gmin_start * 0.1f64.powi(k as i32))
+            .chain([0.0]);
+        for extra in extras {
+            let rung = c.rung_base(&static_t, &layout, &mosfets, extra, Some(&hint)).unwrap();
+            let reused = rung.symbolic_hint().expect("sparse base carries a pattern");
+            assert!(Arc::ptr_eq(&hint, &reused), "rung with {extra} S re-analysed the pattern");
+        }
     }
 }

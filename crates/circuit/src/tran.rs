@@ -417,15 +417,15 @@ impl TranState {
         }
         for (s, sys) in ckt.inductor_systems().iter().enumerate() {
             let off = layout.ind_offsets[s];
+            let state = &self.ind_state[s];
             for j in 0..sys.len() {
                 let mut acc = 0.0;
-                for jj in 0..sys.len() {
-                    let m = sys.m[(j, jj)];
+                for (&m, &(i_prev, _)) in sys.m.row(j).iter().zip(state) {
                     if m != 0.0 {
-                        acc += m * self.ind_state[s][jj].0;
+                        acc += m * i_prev;
                     }
                 }
-                rhs[off + j] = -k * acc - if trap { self.ind_state[s][j].1 } else { 0.0 };
+                rhs[off + j] = -k * acc - if trap { state[j].1 } else { 0.0 };
             }
         }
         rhs

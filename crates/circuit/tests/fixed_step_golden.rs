@@ -114,6 +114,51 @@ fn inverter_rlc_line_sparse() -> (Circuit, Vec<ind101_circuit::NodeId>) {
     (c, probes)
 }
 
+/// An inverter driving one line of a 64-line bus whose branches are all
+/// mutually coupled (a dense 64 × 64 Kac–Murdock–Szegő partial
+/// inductance matrix, `M_ij = L_i^½ L_j^½ · 0.55^|i−j|`, positive
+/// definite), forced onto the sparse backend. Every branch row of the
+/// MNA carries the whole coupling block, so the LU factor and the CSR
+/// matrix both hold long runs of consecutive columns.
+fn inverter_coupled_bus_sparse() -> (Circuit, Vec<ind101_circuit::NodeId>) {
+    const LINES: usize = 64;
+    let mut c = Circuit::new();
+    c.set_solver_backend(SolverBackend::Sparse);
+    let vdd = c.node("vdd");
+    let inp = c.node("in");
+    let out = c.node("out");
+    c.vsrc(vdd, Circuit::GND, SourceWave::dc(1.8));
+    c.vsrc(inp, Circuit::GND, SourceWave::step(0.0, 1.8, 20e-12, 15e-12));
+    c.inverter(inp, out, vdd, Circuit::GND, InverterParams::default());
+    let mut branches = Vec::with_capacity(LINES);
+    let mut far = Vec::with_capacity(LINES);
+    for k in 0..LINES {
+        let near = c.node(format!("a{k}"));
+        let end = c.node(format!("b{k}"));
+        if k == 0 {
+            c.resistor(out, near, 8.0);
+        } else {
+            c.resistor(near, Circuit::GND, 25.0 + 0.25 * k as f64);
+        }
+        c.capacitor(end, Circuit::GND, 3e-15 + 0.05e-15 * k as f64);
+        c.resistor(end, Circuit::GND, 2e3);
+        branches.push((near, end));
+        far.push(end);
+    }
+    let self_l: Vec<f64> = (0..LINES).map(|k| 0.4e-9 * (1.0 + 0.01 * k as f64)).collect();
+    let mut m = Matrix::zeros(LINES, LINES);
+    for i in 0..LINES {
+        for j in 0..LINES {
+            let gap = i.abs_diff(j) as i32;
+            m[(i, j)] = (self_l[i] * self_l[j]).sqrt() * 0.55f64.powi(gap);
+        }
+    }
+    c.add_inductor_system(ind101_circuit::InductorSystem { branches, m })
+        .unwrap();
+    let probes = vec![out, far[0], far[1], far[2], far[31], far[63]];
+    (c, probes)
+}
+
 #[test]
 fn rc_ladder_fixed_step_is_bit_identical_to_seed() {
     let (c, probes) = rc_ladder();
@@ -155,4 +200,23 @@ fn sparse_nonlinear_adaptive_is_bit_identical() {
     let res = c.transient(&TranOptions::new(1e-12, 300e-12).adaptive()).unwrap();
     assert!(res.steps_rejected > 0, "controller never changed the step");
     assert_eq!(waveform_hash(&res, &probes), 0x5813270091ca07ed);
+}
+
+/// Pinned before the sparse triangular solves, the CSR matvec and the
+/// inductor history product began walking contiguous column runs: the
+/// dense coupling block gives every one of them long runs, and the
+/// per-row summation order must not move a single bit.
+#[test]
+fn sparse_coupled_bus_fixed_step_is_bit_identical() {
+    let (c, probes) = inverter_coupled_bus_sparse();
+    let res = c.transient(&TranOptions::new(1e-12, 150e-12)).unwrap();
+    let aggressor = res.voltage(probes[1]);
+    assert!(
+        aggressor.values[0] > 1.7 && aggressor.last_value() < 0.3,
+        "aggressor did not switch"
+    );
+    let victim = res.voltage(probes[2]);
+    let peak = victim.values.iter().fold(0.0f64, |a, v| a.max(v.abs()));
+    assert!(peak > 1e-3, "no crosstalk on the neighbouring line: {peak}");
+    assert_eq!(waveform_hash(&res, &probes), 0x0ea68978c56663d5);
 }

@@ -91,12 +91,14 @@ impl<T: Scalar> Triplets<T> {
         for r in 0..self.nrows {
             indptr[r + 1] += indptr[r];
         }
+        let runs = RowRuns::new((0..self.nrows).map(|r| &indices[indptr[r]..indptr[r + 1]]));
         CsrMatrix {
             nrows: self.nrows,
             ncols: self.ncols,
             indptr,
             indices,
             data,
+            runs,
         }
     }
 
@@ -110,6 +112,75 @@ impl<T: Scalar> Triplets<T> {
     }
 }
 
+/// Maximal runs of consecutive column indices per row, in slot order.
+///
+/// A row storing columns `3 4 5 9 10` holds the runs `(3, 3)` and
+/// `(9, 2)`, each `(first column, length)`; a run's slots follow those
+/// of the run before it. A kernel that walks a row as `(value, x[col])`
+/// pairs can then zip a contiguous slice of values with a contiguous
+/// window of `x` per run, instead of loading a column index and
+/// gathering once per entry. The pairs, and their order, are the same
+/// either way, so the arithmetic — and every rounding — is too.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub(crate) struct RowRuns {
+    /// Row `i`'s runs are `runs[ptr[i]..ptr[i + 1]]`.
+    ptr: Vec<usize>,
+    runs: Vec<(usize, usize)>,
+}
+
+impl RowRuns {
+    /// Splits every row's column list into its maximal runs.
+    pub(crate) fn new<'a>(rows: impl IntoIterator<Item = &'a [usize]>) -> Self {
+        let mut ptr = vec![0];
+        let mut runs = Vec::new();
+        for cols in rows {
+            let mut cols = cols.iter().copied();
+            if let Some(first) = cols.next() {
+                let mut run = (first, 1);
+                for c in cols {
+                    if c == run.0 + run.1 {
+                        run.1 += 1;
+                    } else {
+                        runs.push(run);
+                        run = (c, 1);
+                    }
+                }
+                runs.push(run);
+            }
+            ptr.push(runs.len());
+        }
+        Self { ptr, runs }
+    }
+
+    /// Total number of runs over all rows.
+    #[cfg(test)]
+    pub(crate) fn count(&self) -> usize {
+        self.runs.len()
+    }
+
+    /// Row `i`'s runs as `(values, x window)` slice pairs of equal
+    /// length, in slot order: `vals` holds the row's values from its
+    /// first run on, and a run starting at column `c` reads
+    /// `x[base + c ..]`. Slot ranges and windows are in bounds whenever
+    /// `vals` and `x` match the pattern the runs were built from.
+    #[inline]
+    pub(crate) fn zip_row<'a, T>(
+        &'a self,
+        i: usize,
+        vals: &'a [T],
+        x: &'a [T],
+        base: usize,
+    ) -> impl Iterator<Item = (&'a [T], &'a [T])> + 'a {
+        self.runs[self.ptr[i]..self.ptr[i + 1]]
+            .iter()
+            .scan(0usize, move |slot, &(c, len)| {
+                let s = *slot;
+                *slot += len;
+                Some((&vals[s..s + len], &x[base + c..base + c + len]))
+            })
+    }
+}
+
 /// Compressed sparse row matrix.
 #[derive(Clone, Debug, PartialEq)]
 pub struct CsrMatrix<T = f64> {
@@ -118,6 +189,9 @@ pub struct CsrMatrix<T = f64> {
     indptr: Vec<usize>,
     indices: Vec<usize>,
     data: Vec<T>,
+    /// Column runs of every row, derived from `indptr` / `indices` at
+    /// construction; [`CsrMatrix::matvec`] walks them.
+    runs: RowRuns,
 }
 
 impl<T: Scalar> CsrMatrix<T> {
@@ -207,9 +281,12 @@ impl<T: Scalar> CsrMatrix<T> {
         }
         let mut y = vec![T::zero(); self.nrows];
         for i in 0..self.nrows {
+            let vals = &self.data[self.indptr[i]..self.indptr[i + 1]];
             let mut acc = T::zero();
-            for (c, v) in self.row_iter(i) {
-                acc += v * x[c];
+            for (vs, xs) in self.runs.zip_row(i, vals, x, 0) {
+                for (&v, &xv) in vs.iter().zip(xs) {
+                    acc += v * xv;
+                }
             }
             y[i] = acc;
         }
@@ -252,6 +329,7 @@ impl<T: Scalar> CsrMatrix<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Complex64;
 
     #[test]
     fn duplicates_accumulate() {
@@ -367,5 +445,92 @@ mod tests {
         t.push(3, 4, 2.0);
         assert!((t.to_csr().density() - 2.0 / 20.0).abs() < 1e-15);
         assert_eq!(Triplets::<f64>::new(0, 0).to_csr().density(), 0.0);
+    }
+
+    #[test]
+    fn row_runs_split_at_every_gap() {
+        let rows: [&[usize]; 4] = [&[3, 4, 5, 9, 10], &[], &[7], &[0, 2, 3, 5]];
+        let runs = RowRuns::new(rows);
+        assert_eq!(runs.count(), 6);
+        let vals = [1.0, 2.0, 3.0, 4.0, 5.0];
+        let x: Vec<f64> = (0..12).map(|c| 10.0 * c as f64).collect();
+        let pairs: Vec<(Vec<f64>, Vec<f64>)> =
+            runs.zip_row(0, &vals, &x, 0).map(|(v, w)| (v.to_vec(), w.to_vec())).collect();
+        assert_eq!(
+            pairs,
+            vec![
+                (vec![1.0, 2.0, 3.0], vec![30.0, 40.0, 50.0]),
+                (vec![4.0, 5.0], vec![90.0, 100.0]),
+            ]
+        );
+        assert_eq!(runs.zip_row(1, &vals, &x, 0).count(), 0);
+        // `base` shifts the window: column 7 of row 2 reads x[9].
+        let (v, w) = runs.zip_row(2, &vals, &x, 2).next().unwrap();
+        assert_eq!((v, w), (&[1.0][..], &[90.0][..]));
+        assert_eq!(runs.zip_row(3, &vals, &x, 0).count(), 3);
+    }
+
+    /// The matvec as it read before rows were walked by column runs:
+    /// one index load and one gather per stored entry.
+    fn matvec_indexed<T: Scalar>(a: &CsrMatrix<T>, x: &[T]) -> Vec<T> {
+        (0..a.nrows())
+            .map(|i| {
+                let mut acc = T::zero();
+                for (c, v) in a.row_iter(i) {
+                    acc += v * x[c];
+                }
+                acc
+            })
+            .collect()
+    }
+
+    #[test]
+    fn run_matvec_is_bit_identical_to_indexed_matvec() {
+        // Rows: empty, isolated entries, one long run, runs with
+        // one-column gaps, and duplicates that `to_csr` merges.
+        let (n, m) = (7, 300);
+        let mut t = Triplets::new(n, m);
+        let val = |r: usize, c: usize| {
+            ((r * 31 + c * 17) as f64 * 0.61).sin() * 1e3f64.powf((c % 5) as f64 - 2.0)
+        };
+        for c in (0..m).step_by(13) {
+            t.push(1, c, val(1, c));
+        }
+        for c in 0..m {
+            t.push(2, c, val(2, c));
+        }
+        for c in (0..m).filter(|c| c % 9 != 4) {
+            t.push(3, c, val(3, c));
+        }
+        for c in 40..120 {
+            t.push(4, c, val(4, c));
+            t.push(4, c, val(c, 4));
+        }
+        t.push(5, m - 1, 2.5);
+        for c in (0..m).rev().step_by(2) {
+            t.push(6, c, val(6, c));
+            t.push(6, c + 1 - c % 2, -0.5);
+        }
+        let a = t.to_csr();
+        assert_eq!(a.row_iter(0).count(), 0);
+        assert!(a.runs.count() < a.nnz() / 3, "fixture lost its long runs");
+        let x: Vec<f64> = (0..m).map(|c| ((c * 7) as f64 * 0.29).cos() + 0.01 * c as f64).collect();
+        let runs = a.matvec(&x).unwrap();
+        let indexed = matvec_indexed(&a, &x);
+        assert_eq!(
+            runs.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+            indexed.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
+        );
+
+        let mut tc = Triplets::new(n, m);
+        for &(r, c, v) in t.entries() {
+            tc.push(r, c, Complex64::new(v, -0.75 * v + 1e-3 * c as f64));
+        }
+        let ac = tc.to_csr();
+        let xc: Vec<Complex64> = x.iter().map(|&v| Complex64::new(v, 1.0 - v)).collect();
+        let bits = |ys: Vec<Complex64>| {
+            ys.iter().map(|z| (z.re.to_bits(), z.im.to_bits())).collect::<Vec<_>>()
+        };
+        assert_eq!(bits(ac.matvec(&xc).unwrap()), bits(matvec_indexed(&ac, &xc)));
     }
 }

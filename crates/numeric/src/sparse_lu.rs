@@ -44,7 +44,7 @@ use crate::budget::{BudgetError, SolveBudget, SolveGuard};
 use crate::ordering::Permutation;
 use crate::partition::{collect_row_blocks, uniform_row_blocks, ParallelConfig};
 use crate::scalar::Scalar;
-use crate::sparse::CsrMatrix;
+use crate::sparse::{CsrMatrix, RowRuns};
 use crate::supernode::{factor_supernodal, BlockFactorError, SupernodePartition};
 use crate::{NumericError, Result};
 use std::sync::Arc;
@@ -114,6 +114,11 @@ struct BlockSym {
     l_cols: Vec<Vec<usize>>,
     /// Per local row: `U` columns `≥ i`, ascending, diagonal first.
     u_cols: Vec<Vec<usize>>,
+    /// Column runs of `l_cols`, walked by the forward solve.
+    l_runs: RowRuns,
+    /// Column runs of `u_cols` past the diagonal slot, walked by the
+    /// backward solve.
+    u_runs: RowRuns,
     /// Relaxed supernode partition of the block's columns.
     sn: SupernodePartition,
 }
@@ -133,6 +138,8 @@ struct KluSym {
     /// (ascending final indices). These entries are never factored —
     /// they feed the block back-substitution.
     offdiag_cols: Vec<Vec<usize>>,
+    /// Column runs of `offdiag_cols`.
+    offdiag_runs: RowRuns,
     stats: SparseLuStats,
 }
 
@@ -521,6 +528,8 @@ impl SymbolicLu {
             }
             blocks.push(BlockSym {
                 lo,
+                l_runs: RowRuns::new(l_cols.iter().map(Vec::as_slice)),
+                u_runs: RowRuns::new(u_cols.iter().map(|u| u.get(1..).unwrap_or_default())),
                 l_cols,
                 u_cols,
                 sn,
@@ -560,6 +569,7 @@ impl SymbolicLu {
                 cperm: Permutation::from_forward(cfor)?,
                 block_of,
                 blocks,
+                offdiag_runs: RowRuns::new(offdiag_cols.iter().map(Vec::as_slice)),
                 offdiag_cols,
                 stats,
             }),
@@ -1023,12 +1033,64 @@ impl<T: Scalar> SparseLu<T> {
     /// Block back-substitution: blocks in reverse order, each one a
     /// pair of triangular solves after subtracting the already-solved
     /// off-diagonal coupling.
+    ///
+    /// Every row is walked by its column runs: per run, a slice of the
+    /// row's values zips with a contiguous window of `x`. The terms
+    /// `acc -= v·x` are the ones the per-entry column indices name, in
+    /// the same slot order, so the result is bit-identical to an
+    /// index-by-index walk (`solve_klu_indexed`, the test oracle).
     fn solve_klu(&self, klu: &KluSym, b: &[T]) -> Vec<T> {
         let mut x = klu.rperm.apply(b);
         for blk in klu.blocks.iter().rev() {
             let lo = blk.lo;
             let nb = blk.u_cols.len();
             // Off-diagonal coupling into later (already final) blocks.
+            for fi in lo..lo + nb {
+                let mut acc = x[fi];
+                for (vs, xs) in klu.offdiag_runs.zip_row(fi, &self.offdiag_vals[fi], &x, 0) {
+                    for (&v, &xv) in vs.iter().zip(xs) {
+                        acc -= v * xv;
+                    }
+                }
+                x[fi] = acc;
+            }
+            // Forward: L·y = rhs (unit diagonal), block-local columns.
+            for li in 0..nb {
+                let fi = lo + li;
+                let mut acc = x[fi];
+                for (vs, xs) in blk.l_runs.zip_row(li, &self.l_vals[fi], &x, lo) {
+                    for (&v, &xv) in vs.iter().zip(xs) {
+                        acc -= v * xv;
+                    }
+                }
+                x[fi] = acc;
+            }
+            // Backward: U·z = y. The runs start past the diagonal slot.
+            for li in (0..nb).rev() {
+                let fi = lo + li;
+                let (diag, upper) = self.u_vals[fi].split_at(1);
+                let mut acc = x[fi];
+                for (vs, xs) in blk.u_runs.zip_row(li, upper, &x, lo) {
+                    for (&v, &xv) in vs.iter().zip(xs) {
+                        acc -= v * xv;
+                    }
+                }
+                // ind101: allow(index-panic, U rows store the diagonal first by construction of the symbolic pattern)
+                x[fi] = acc / diag[0];
+            }
+        }
+        klu.cperm.apply_inverse(&x)
+    }
+
+    /// The per-entry walk [`SparseLu::solve_klu`] replaced: one column
+    /// index load and one gather per stored entry. Kept as the oracle
+    /// the run-based solve is pinned against bit for bit.
+    #[cfg(test)]
+    fn solve_klu_indexed(&self, klu: &KluSym, b: &[T]) -> Vec<T> {
+        let mut x = klu.rperm.apply(b);
+        for blk in klu.blocks.iter().rev() {
+            let lo = blk.lo;
+            let nb = blk.u_cols.len();
             for li in 0..nb {
                 let fi = lo + li;
                 let mut acc = x[fi];
@@ -1037,7 +1099,6 @@ impl<T: Scalar> SparseLu<T> {
                 }
                 x[fi] = acc;
             }
-            // Forward: L·y = rhs (unit diagonal), block-local columns.
             for li in 0..nb {
                 let fi = lo + li;
                 let mut acc = x[fi];
@@ -1046,14 +1107,12 @@ impl<T: Scalar> SparseLu<T> {
                 }
                 x[fi] = acc;
             }
-            // Backward: U·z = y.
             for li in (0..nb).rev() {
                 let fi = lo + li;
                 let mut acc = x[fi];
                 for (slot, &cj) in blk.u_cols[li].iter().enumerate().skip(1) {
                     acc -= self.u_vals[fi][slot] * x[lo + cj];
                 }
-                // ind101: allow(index-panic, U rows store the diagonal first by construction of the symbolic pattern)
                 x[fi] = acc / self.u_vals[fi][0];
             }
         }
@@ -1626,6 +1685,227 @@ mod tests {
             let rows = permuted_pattern(n, &entries, p);
             assert_merges_agree(&format!("PEEC-shaped, order {k}"), &rows);
         }
+    }
+
+    /// Raw bits of a value, so comparisons see every rounding (and the
+    /// sign of zero) rather than float equality.
+    trait Bits: Scalar {
+        fn bits(self) -> [u64; 2];
+    }
+
+    impl Bits for f64 {
+        fn bits(self) -> [u64; 2] {
+            [self.to_bits(), 0]
+        }
+    }
+
+    impl Bits for Complex64 {
+        fn bits(self) -> [u64; 2] {
+            [self.re.to_bits(), self.im.to_bits()]
+        }
+    }
+
+    /// What the run-vs-index comparisons exercised: BTF blocks, stored
+    /// off-diagonal coupling entries, and, over `L`, `U` past the
+    /// diagonal and the coupling, column runs, stored entries and
+    /// entries that form a run on their own.
+    #[derive(Default)]
+    struct RunCoverage {
+        blocks: usize,
+        offdiag: usize,
+        runs: usize,
+        entries: usize,
+        single_entry_runs: usize,
+    }
+
+    impl RunCoverage {
+        fn add(&mut self, klu: &KluSym) {
+            self.blocks += klu.blocks.len();
+            self.offdiag += klu.offdiag_cols.iter().map(Vec::len).sum::<usize>();
+            let mut tally = |runs: &RowRuns, rows: &mut dyn Iterator<Item = &[usize]>| {
+                self.runs += runs.count();
+                for row in rows {
+                    self.entries += row.len();
+                    let lone = (0..row.len())
+                        .filter(|&k| {
+                            (k == 0 || row[k - 1] + 1 != row[k])
+                                && (k + 1 == row.len() || row[k] + 1 != row[k + 1])
+                        })
+                        .count();
+                    self.single_entry_runs += lone;
+                }
+            };
+            tally(&klu.offdiag_runs, &mut klu.offdiag_cols.iter().map(Vec::as_slice));
+            for b in &klu.blocks {
+                tally(&b.l_runs, &mut b.l_cols.iter().map(Vec::as_slice));
+                tally(&b.u_runs, &mut b.u_cols.iter().map(|u| &u[1..]));
+            }
+        }
+    }
+
+    /// Factors `entries` (as `T` through `cast`) on the KLU path and
+    /// checks the run-based solve against the per-entry oracle bit for
+    /// bit, on a few right-hand sides.
+    fn assert_run_solve_is_bit_identical<T: Bits>(
+        label: &str,
+        n: usize,
+        entries: &[(usize, usize, f64)],
+        cast: impl Fn(f64, usize) -> T,
+        cov: &mut RunCoverage,
+    ) {
+        let mut t = Triplets::new(n, n);
+        for (k, &(i, j, v)) in entries.iter().enumerate() {
+            t.push(i, j, cast(v, k));
+        }
+        let lu = SparseLu::factor(&t.to_csr()).unwrap_or_else(|e| panic!("{label}: {e}"));
+        let SymRepr::Klu(klu) = &lu.sym.repr else {
+            panic!("{label}: not the KLU path");
+        };
+        cov.add(klu);
+        for rhs in 0..3 {
+            let b: Vec<T> = (0..n)
+                .map(|i| cast(((i * 7 + rhs * 13) as f64 * 0.37).sin() + 0.1, i + rhs))
+                .collect();
+            let runs = lu.solve_klu(klu, &b);
+            let indexed = lu.solve_klu_indexed(klu, &b);
+            for (i, (r, x)) in runs.iter().zip(&indexed).enumerate() {
+                assert_eq!(r.bits(), x.bits(), "{label}, rhs {rhs}: x[{i}] {r:?} vs {x:?}");
+            }
+        }
+    }
+
+    /// Random diagonally dominant patterns of four shapes: scattered
+    /// entries; banded rows broken by one-column gaps (long runs with
+    /// holes, plus rows left with a single entry); block upper
+    /// triangular coupling of several irreducible blocks (off-diagonal
+    /// runs); and MNA-style voltage-source rows without a structural
+    /// diagonal (deferred pivots).
+    fn run_test_pattern(rng: &mut Xorshift, case: usize) -> (usize, Vec<(usize, usize, f64)>) {
+        let n = 2 + rng.below(70);
+        let mut entries: Vec<(usize, usize, f64)> = Vec::new();
+        let off = |rng: &mut Xorshift| (rng.below(2001) as f64 - 1000.0) * 1e-3;
+        match case % 4 {
+            0 => {
+                let density = 2 + rng.below(30);
+                for i in 0..n {
+                    for j in 0..n {
+                        if j != i && rng.chance(density) {
+                            entries.push((i, j, off(rng)));
+                        }
+                    }
+                }
+            }
+            1 => {
+                let w = 1 + rng.below(n);
+                let gap = 2 + rng.below(9);
+                for i in 0..n {
+                    if rng.chance(10) {
+                        continue; // a single-entry row: diagonal only
+                    }
+                    for j in i.saturating_sub(w)..(i + w + 1).min(n) {
+                        if j != i && j % gap != i % gap {
+                            entries.push((i, j, off(rng)));
+                            entries.push((j, i, off(rng)));
+                        }
+                    }
+                }
+            }
+            2 => {
+                // Irreducible blocks (a cycle each) coupled only upward.
+                let mut lo = 0;
+                while lo < n {
+                    let hi = (lo + 1 + rng.below(12)).min(n);
+                    for i in lo..hi {
+                        if hi - lo > 1 {
+                            entries.push((i, if i + 1 < hi { i + 1 } else { lo }, off(rng)));
+                        }
+                        for j in hi..n {
+                            if rng.chance(25) {
+                                entries.push((i, j, off(rng)));
+                            }
+                        }
+                    }
+                    lo = hi;
+                }
+            }
+            _ => {
+                // Node rows on a random conductance graph, then voltage
+                // sources tying distinct nodes to ground.
+                let nodes = 1 + n / 2;
+                for i in 0..nodes {
+                    for j in 0..i {
+                        if rng.chance(20) {
+                            let g = off(rng);
+                            entries.push((i, j, g));
+                            entries.push((j, i, g));
+                        }
+                    }
+                }
+                for k in nodes..n {
+                    let v = k - nodes;
+                    entries.push((k, v, 1.0));
+                    entries.push((v, k, 1.0));
+                }
+            }
+        }
+        // Diagonal dominance on the rows that carry a diagonal.
+        let mut row_sum = vec![0.0f64; n];
+        for &(i, _, v) in &entries {
+            row_sum[i] += v.abs();
+        }
+        let diag_rows = if case % 4 == 3 { 1 + n / 2 } else { n };
+        for (i, s) in row_sum.iter().enumerate().take(diag_rows) {
+            entries.push((i, i, s + 1.0 + (i % 5) as f64 * 0.1));
+        }
+        (n, entries)
+    }
+
+    #[test]
+    fn run_solve_is_bit_identical_to_indexed_solve() {
+        let mut rng = Xorshift(0x0123_4567_89ab_cdef);
+        let mut cov = RunCoverage::default();
+        for case in 0..240 {
+            let (n, entries) = run_test_pattern(&mut rng, case);
+            let label = format!("case {case} (shape {}, n={n})", case % 4);
+            assert_run_solve_is_bit_identical(&label, n, &entries, |v, _| v, &mut cov);
+            assert_run_solve_is_bit_identical(
+                &format!("{label}, complex"),
+                n,
+                &entries,
+                |v, k| Complex64::new(v, v * (0.3 + 0.01 * (k % 11) as f64)),
+                &mut cov,
+            );
+        }
+        // The patterns reached every run shape the walk distinguishes.
+        assert!(cov.blocks > 2 * 240 * 2, "too few multi-block factors");
+        assert!(cov.offdiag > 0, "no off-diagonal coupling");
+        assert!(cov.single_entry_runs > 0, "no single-entry runs");
+        assert!(
+            cov.entries > 3 * cov.runs,
+            "runs too short: {} entries in {} runs",
+            cov.entries,
+            cov.runs
+        );
+    }
+
+    /// A dense block of consecutive columns is the long-run extreme:
+    /// every row of `L` and `U` is one run.
+    #[test]
+    fn dense_block_solve_is_one_run_per_row_and_bit_identical() {
+        let n: usize = 48;
+        let mut entries = Vec::new();
+        for i in 0..n {
+            for j in 0..n {
+                let v = if i == j { n as f64 } else { 1.0 / (1.0 + i.abs_diff(j) as f64) };
+                entries.push((i, j, v));
+            }
+        }
+        let mut cov = RunCoverage::default();
+        assert_run_solve_is_bit_identical("dense", n, &entries, |v, _| v, &mut cov);
+        // One run per nonempty row: n − 1 in L, n − 1 in U past the
+        // diagonal.
+        assert_eq!(cov.runs, 2 * (n - 1));
+        assert_eq!(cov.entries, n * (n - 1));
     }
 }
 
