@@ -162,34 +162,29 @@ impl AcStampMode<'_> {
 impl Circuit {
     /// Runs an AC sweep. Sources contribute through their `ac_mag`
     /// (time-domain waveforms are ignored). Nonlinear devices are
-    /// linearized at the DC operating point.
+    /// linearized at the DC operating point. This is
+    /// [`Circuit::ac_sweep_resilient`] under [`ResilienceOptions::strict`]
+    /// with the default [`ParallelConfig`].
     ///
     /// # Errors
     ///
     /// Invalid options or singular systems.
     pub fn ac_sweep(&self, opts: &AcOptions) -> Result<AcResult> {
-        self.ac_sweep_with(opts, &ParallelConfig::default())
+        self.ac_sweep_resilient(opts, &ParallelConfig::default(), &ResilienceOptions::strict())
+            .map(|s| s.ac)
     }
 
-    /// [`Circuit::ac_sweep`] with an explicit parallelism configuration:
-    /// the per-frequency complex solves are independent, so the sweep is
-    /// split into contiguous frequency blocks across `cfg.threads` scoped
-    /// worker threads. Results (and the choice of reported error, if
-    /// any) are in deterministic frequency order regardless of thread
-    /// count. This is [`Circuit::ac_sweep_resilient`] under
-    /// [`ResilienceOptions::strict`].
+    /// [`Circuit::ac_sweep`] with an explicit parallelism configuration,
+    /// under the solve-resilience layer.
     ///
-    /// # Errors
-    ///
-    /// Invalid options or singular systems.
-    pub fn ac_sweep_with(&self, opts: &AcOptions, cfg: &ParallelConfig) -> Result<AcResult> {
-        self.ac_sweep_resilient(opts, cfg, &ResilienceOptions::strict()).map(|s| s.ac)
-    }
-
-    /// [`Circuit::ac_sweep_with`] under the solve-resilience layer:
-    /// the sweep shares one [`ind101_numeric::SolveBudget`], workers
-    /// poll its [`CancelToken`] (and the wall-clock deadline) before
-    /// every frequency inside the row-block parallel loop, and the
+    /// The per-frequency complex solves are independent, so the sweep
+    /// is split into contiguous frequency blocks across `cfg.threads`
+    /// scoped worker threads. Results (and the choice of reported
+    /// error, if any) are in deterministic frequency order regardless
+    /// of thread count. The sweep shares one
+    /// [`ind101_numeric::SolveBudget`], workers poll its
+    /// [`CancelToken`] (and the wall-clock deadline) before every
+    /// frequency inside the row-block parallel loop, and the
     /// [`FailurePolicy`] decides whether a singular frequency aborts
     /// the sweep or is skipped with a typed record.
     ///

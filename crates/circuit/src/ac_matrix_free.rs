@@ -25,7 +25,7 @@
 //! tolerance or fails with a typed error — never a silently degraded
 //! result.
 
-use crate::ac::{AcOptions, AcResult, AcStampMode};
+use crate::ac::{AcOptions, AcStampMode};
 use crate::dcop::DcOperatingPoint;
 use crate::error::CircuitError;
 use crate::mna::MnaLayout;
@@ -41,41 +41,20 @@ use ind101_numeric::{
 };
 use std::sync::Arc;
 
-/// Tuning for the matrix-free AC sweep's Krylov solves.
-#[derive(Clone, Debug, PartialEq)]
-pub struct MatrixFreeAcOptions {
-    /// Relative residual target per frequency point.
-    ///
-    /// This bounds the *true* residual `‖b − A·x‖ / ‖b‖`, so the
-    /// attainable floor depends on the MNA scaling: extraction probes
-    /// mix micro-ohm pad ties with voltage-source rows and bottom out
-    /// around `1e-11` relative. The default leaves headroom above that
-    /// floor while staying two decades inside the `1e-8`
-    /// dense-agreement contract.
-    pub tol: f64,
-    /// Matvec cap per frequency point.
-    pub max_iters: usize,
-    /// GMRES restart length.
-    pub restart: usize,
-    /// Warm-start each frequency from the previous solution.
-    pub warm_start: bool,
-}
+/// Relative residual target per frequency point.
+///
+/// This bounds the *true* residual `‖b − A·x‖ / ‖b‖`, so the attainable
+/// floor depends on the MNA scaling: extraction probes mix micro-ohm
+/// pad ties with voltage-source rows and bottom out around `1e-11`
+/// relative. `1e-10` leaves headroom above that floor while staying two
+/// decades inside the `1e-8` dense-agreement contract.
+const AC_GMRES_TOL: f64 = 1e-10;
 
-/// Default relative residual tolerance for the AC GMRES solve — tight
-/// enough that matrix-free results are bit-comparable to the dense
-/// backend in the differential suites.
-const DEFAULT_AC_GMRES_TOL: f64 = 1e-10;
+/// Matvec cap per frequency point.
+const AC_GMRES_MAX_ITERS: usize = 2000;
 
-impl Default for MatrixFreeAcOptions {
-    fn default() -> Self {
-        Self {
-            tol: DEFAULT_AC_GMRES_TOL,
-            max_iters: 2000,
-            restart: 80,
-            warm_start: true,
-        }
-    }
-}
+/// GMRES restart length.
+const AC_GMRES_RESTART: usize = 80;
 
 /// MNA operator: explicit CSR part plus operator-applied `−jω·L`
 /// blocks for the overridden inductor systems.
@@ -121,34 +100,6 @@ impl Preconditioner<Complex64> for SolverPreconditioner {
 }
 
 impl Circuit {
-    /// AC sweep with the inductance blocks of selected inductor
-    /// systems applied matrix-free through [`LinearOperator`]s.
-    ///
-    /// `overrides` pairs an inductor-system index with the operator
-    /// that realizes its partial-inductance matrix; every other stamp
-    /// (and every non-overridden system) is assembled exactly as in
-    /// [`Circuit::ac_sweep`]. Results agree with the dense path to the
-    /// Krylov tolerance — the loop-extraction differential tests pin
-    /// this to ≤ 1e-8. This is
-    /// [`Circuit::ac_sweep_matrix_free_resilient`] under
-    /// [`ResilienceOptions::strict`].
-    ///
-    /// # Errors
-    ///
-    /// Invalid options, an override index out of range or with a
-    /// mismatched operator dimension, a singular preconditioner
-    /// system, or Krylov non-convergence at some frequency (typed
-    /// through [`CircuitError::Numeric`]).
-    pub fn ac_sweep_matrix_free(
-        &self,
-        opts: &AcOptions,
-        overrides: &[(usize, &dyn LinearOperator<Complex64>)],
-        mf: &MatrixFreeAcOptions,
-    ) -> Result<AcResult> {
-        self.ac_sweep_matrix_free_resilient(opts, overrides, mf, &ResilienceOptions::strict())
-            .map(|s| s.ac)
-    }
-
     /// Checks that every override names an existing inductor system,
     /// matches its dimension, and appears at most once.
     fn validate_overrides(
@@ -185,8 +136,21 @@ impl Circuit {
         Ok(())
     }
 
-    /// [`Circuit::ac_sweep_matrix_free`] under the solve-resilience
-    /// layer: per-frequency Krylov failures climb the
+    /// AC sweep with the inductance blocks of selected inductor
+    /// systems applied matrix-free through [`LinearOperator`]s, under
+    /// the solve-resilience layer.
+    ///
+    /// `overrides` pairs an inductor-system index with the operator
+    /// that realizes its partial-inductance matrix; every other stamp
+    /// (and every non-overridden system) is assembled exactly as in
+    /// [`Circuit::ac_sweep`]. Each frequency is one right-preconditioned
+    /// GMRES solve (relative tolerance `1e-10`, at most 2000 matvecs,
+    /// restart 80), warm-started from the previous frequency's
+    /// solution. Results agree with the dense path to the Krylov
+    /// tolerance — the loop-extraction differential tests pin this to
+    /// ≤ 1e-8.
+    ///
+    /// Per-frequency Krylov failures climb the
     /// [`ind101_numeric::KrylovRescuePolicy`] ladder (grown restart →
     /// dense-direct fallback, the latter gated by the memory budget),
     /// the whole sweep shares one
@@ -194,7 +158,7 @@ impl Circuit {
     /// cancellation), and the [`FailurePolicy`] decides whether a
     /// frequency that still fails aborts the sweep or is skipped with a
     /// typed record. The returned [`ResilientAcSweep`] holds solutions
-    /// for every frequency that solved plus a [`RecoveryReport`] for
+    /// for every frequency that solved plus a [`crate::RecoveryReport`] for
     /// the full request.
     ///
     /// The GMRES warm start is reset whenever a frequency needed any
@@ -204,15 +168,17 @@ impl Circuit {
     ///
     /// # Errors
     ///
-    /// Invalid options/overrides always abort. Per-frequency solve
-    /// failures abort only under [`FailurePolicy::Abort`]; cancellation
+    /// Invalid options, an override index out of range, duplicated or
+    /// with a mismatched operator dimension always abort. Per-frequency
+    /// failures (a singular preconditioner system, Krylov
+    /// non-convergence typed through [`CircuitError::Numeric`]) abort
+    /// only under [`FailurePolicy::Abort`]; cancellation
     /// and sweep-wide budget exhaustion stop the sweep early but still
     /// return the partial result.
     pub fn ac_sweep_matrix_free_resilient(
         &self,
         opts: &AcOptions,
         overrides: &[(usize, &dyn LinearOperator<Complex64>)],
-        mf: &MatrixFreeAcOptions,
         resilience: &ResilienceOptions,
     ) -> Result<ResilientAcSweep> {
         opts.validate()?;
@@ -228,9 +194,9 @@ impl Circuit {
         let overridden: Vec<usize> = overrides.iter().map(|&(s, _)| s).collect();
         let backend = self.effective_backend();
         let kopts = KrylovOptions {
-            tol: mf.tol,
-            max_iters: mf.max_iters,
-            restart: mf.restart.max(1),
+            tol: AC_GMRES_TOL,
+            max_iters: AC_GMRES_MAX_ITERS,
+            restart: AC_GMRES_RESTART,
         };
         let mut rescue = resilience.rescue.clone();
         if resilience.policy == FailurePolicy::DegradeToDense {
@@ -324,11 +290,10 @@ impl Circuit {
                 dc: dc.as_ref(),
                 f,
             };
-            let x0 = if mf.warm_start { prev.as_deref() } else { None };
             match solve_with_rescue(
                 &operator,
                 &rhs,
-                x0,
+                prev.as_deref(),
                 &precond,
                 &kopts,
                 &rescue,
@@ -348,7 +313,7 @@ impl Circuit {
                     };
                     // Warm-start hygiene: only a plainly solved point
                     // seeds the next frequency.
-                    prev = (mf.warm_start && initial).then(|| sol.x.clone());
+                    prev = initial.then(|| sol.x.clone());
                     records.push(FrequencyRecovery {
                         freq_hz: f,
                         status,
@@ -388,9 +353,7 @@ impl Circuit {
 
 /// Rescue provider for the matrix-free AC solve: the dense-direct rung
 /// assembles the *full* MNA matrix (every `−jωM` stamp included) and
-/// lets the ladder LU-solve it. No preconditioner escalation is
-/// offered — the matrix-free path's baseline preconditioner is already
-/// a direct factorization, stronger than Jacobi or block-Jacobi.
+/// lets the ladder LU-solve it.
 struct FullStampProvider<'a> {
     circuit: &'a Circuit,
     layout: &'a MnaLayout,
@@ -410,6 +373,7 @@ impl RescueProvider<Complex64> for FullStampProvider<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ac::AcResult;
     use crate::netlist::InductorSystem;
     use crate::waveform::SourceWave;
     use ind101_numeric::Matrix;
@@ -438,6 +402,20 @@ mod tests {
         (c, m)
     }
 
+    /// The matrix-free sweep with resilience off.
+    fn strict_sweep(
+        c: &Circuit,
+        freqs_hz: Vec<f64>,
+        overrides: &[(usize, &dyn LinearOperator<Complex64>)],
+    ) -> Result<AcResult> {
+        c.ac_sweep_matrix_free_resilient(
+            &AcOptions { freqs_hz },
+            overrides,
+            &ResilienceOptions::strict(),
+        )
+        .map(|s| s.ac)
+    }
+
     #[test]
     fn matrix_free_matches_dense_sweep() {
         let (c, m) = coupled_circuit(12);
@@ -445,13 +423,7 @@ mod tests {
             freqs_hz: vec![1e8, 1e9, 5e9, 2e10],
         };
         let dense = c.ac_sweep(&opts).unwrap();
-        let mf = c
-            .ac_sweep_matrix_free(
-                &opts,
-                &[(0usize, &m as &dyn LinearOperator<Complex64>)],
-                &MatrixFreeAcOptions::default(),
-            )
-            .unwrap();
+        let mf = strict_sweep(&c, opts.freqs_hz.clone(), &[(0, &m)]).unwrap();
         let node = crate::netlist::NodeId(1);
         for idx in 0..opts.freqs_hz.len() {
             let a = dense.voltage(node, idx);
@@ -464,52 +436,9 @@ mod tests {
     }
 
     #[test]
-    fn warm_start_reduces_per_point_work() {
-        // Not directly observable from here (iteration counts are
-        // internal), but the sweep with warm start must still agree
-        // with the cold-start sweep.
-        let (c, m) = coupled_circuit(8);
-        let opts = AcOptions {
-            freqs_hz: (1..=12).map(|k| 1e8 * 1.6f64.powi(k)).collect(),
-        };
-        let warm = c
-            .ac_sweep_matrix_free(
-                &opts,
-                &[(0usize, &m as &dyn LinearOperator<Complex64>)],
-                &MatrixFreeAcOptions::default(),
-            )
-            .unwrap();
-        let cold = c
-            .ac_sweep_matrix_free(
-                &opts,
-                &[(0usize, &m as &dyn LinearOperator<Complex64>)],
-                &MatrixFreeAcOptions {
-                    warm_start: false,
-                    ..Default::default()
-                },
-            )
-            .unwrap();
-        let node = crate::netlist::NodeId(0);
-        for idx in 0..opts.freqs_hz.len() {
-            let a = warm.voltage(node, idx);
-            let b = cold.voltage(node, idx);
-            assert!((a - b).abs() <= 1e-8 * a.abs().max(1e-12));
-        }
-    }
-
-    #[test]
     fn bad_override_index_is_typed_error() {
         let (c, m) = coupled_circuit(4);
-        let opts = AcOptions {
-            freqs_hz: vec![1e9],
-        };
-        let err = c
-            .ac_sweep_matrix_free(
-                &opts,
-                &[(3usize, &m as &dyn LinearOperator<Complex64>)],
-                &MatrixFreeAcOptions::default(),
-            )
-            .unwrap_err();
+        let err = strict_sweep(&c, vec![1e9], &[(3, &m)]).unwrap_err();
         assert!(matches!(err, CircuitError::InvalidOptions { .. }), "{err}");
     }
 
@@ -517,15 +446,7 @@ mod tests {
     fn mismatched_operator_dimension_is_typed_error() {
         let (c, _) = coupled_circuit(4);
         let wrong = Matrix::from_fn(3, 3, |i, j| if i == j { 1e-9 } else { 0.0 });
-        let err = c
-            .ac_sweep_matrix_free(
-                &AcOptions {
-                    freqs_hz: vec![1e9],
-                },
-                &[(0usize, &wrong as &dyn LinearOperator<Complex64>)],
-                &MatrixFreeAcOptions::default(),
-            )
-            .unwrap_err();
+        let err = strict_sweep(&c, vec![1e9], &[(0, &wrong)]).unwrap_err();
         assert!(matches!(err, CircuitError::InvalidOptions { .. }), "{err}");
     }
 
@@ -533,38 +454,7 @@ mod tests {
     fn duplicate_override_rejected() {
         let (c, m) = coupled_circuit(4);
         let op: &dyn LinearOperator<Complex64> = &m;
-        let err = c
-            .ac_sweep_matrix_free(
-                &AcOptions {
-                    freqs_hz: vec![1e9],
-                },
-                &[(0usize, op), (0usize, op)],
-                &MatrixFreeAcOptions::default(),
-            )
-            .unwrap_err();
+        let err = strict_sweep(&c, vec![1e9], &[(0, op), (0, op)]).unwrap_err();
         assert!(matches!(err, CircuitError::InvalidOptions { .. }));
-    }
-
-    #[test]
-    fn impossible_tolerance_yields_typed_nonconvergence() {
-        let (c, m) = coupled_circuit(6);
-        let err = c
-            .ac_sweep_matrix_free(
-                &AcOptions {
-                    freqs_hz: vec![1e9],
-                },
-                &[(0usize, &m as &dyn LinearOperator<Complex64>)],
-                &MatrixFreeAcOptions {
-                    tol: 1e-30,
-                    max_iters: 3,
-                    restart: 2,
-                    warm_start: true,
-                },
-            )
-            .unwrap_err();
-        assert!(
-            matches!(err, CircuitError::Numeric(NumericError::NoConvergence { .. })),
-            "{err}"
-        );
     }
 }

@@ -63,7 +63,6 @@ mod tran;
 mod waveform;
 
 pub use ac::{AcOptions, AcResult};
-pub use ac_matrix_free::MatrixFreeAcOptions;
 pub use dcop::DcOperatingPoint;
 pub use elements::{Element, MosPolarity, Mosfet};
 pub use error::CircuitError;

@@ -340,12 +340,6 @@ impl<T: Scalar> Solver<T> {
     }
 }
 
-/// Convenience: assemble a dense matrix from triplets (test helper).
-#[allow(dead_code)]
-pub(crate) fn to_dense<T: Scalar>(t: &Triplets<T>) -> Matrix<T> {
-    t.to_dense()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

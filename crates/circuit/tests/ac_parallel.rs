@@ -5,10 +5,15 @@
 //! when no frequency fails.
 
 use ind101_circuit::{
-    AcOptions, Circuit, InductorSystem, MatrixFreeAcOptions, NodeId, ResilienceOptions,
-    SourceWave,
+    AcOptions, AcResult, Circuit, InductorSystem, NodeId, ResilienceOptions, SourceWave,
 };
 use ind101_numeric::{Complex64, LinearOperator, Matrix, ParallelConfig};
+
+/// The dense sweep on `threads` workers with resilience off.
+fn sweep(c: &Circuit, opts: &AcOptions, threads: usize) -> ind101_circuit::Result<AcResult> {
+    c.ac_sweep_resilient(opts, &ParallelConfig::with_threads(threads), &ResilienceOptions::strict())
+        .map(|s| s.ac)
+}
 
 /// RLC ladder with an AC source: exercises resistors, capacitors and
 /// the inductor branch equations in the complex MNA system.
@@ -33,12 +38,8 @@ fn rlc_ladder(stages: usize) -> (Circuit, Vec<ind101_circuit::NodeId>) {
 fn parallel_sweep_matches_serial_bitwise() {
     let (c, nodes) = rlc_ladder(6);
     let opts = AcOptions::log_sweep(1e6, 1e11, 7);
-    let serial = c
-        .ac_sweep_with(&opts, &ParallelConfig::with_threads(1))
-        .expect("serial sweep");
-    let par = c
-        .ac_sweep_with(&opts, &ParallelConfig::with_threads(4))
-        .expect("parallel sweep");
+    let serial = sweep(&c, &opts, 1).expect("serial sweep");
+    let par = sweep(&c, &opts, 4).expect("parallel sweep");
     assert_eq!(serial.freqs_hz, par.freqs_hz, "frequency grid reordered");
     for &n in &nodes {
         for idx in 0..serial.freqs_hz.len() {
@@ -56,9 +57,7 @@ fn default_sweep_matches_explicit_config() {
     let (c, nodes) = rlc_ladder(3);
     let opts = AcOptions { freqs_hz: vec![1e8, 1e9, 1e10] };
     let a = c.ac_sweep(&opts).expect("default sweep");
-    let b = c
-        .ac_sweep_with(&opts, &ParallelConfig::with_threads(2))
-        .expect("two-thread sweep");
+    let b = sweep(&c, &opts, 2).expect("two-thread sweep");
     for &n in &nodes {
         for idx in 0..opts.freqs_hz.len() {
             assert_eq!(a.voltage(n, idx), b.voltage(n, idx));
@@ -74,12 +73,8 @@ fn error_semantics_are_thread_invariant() {
     let opts = AcOptions {
         freqs_hz: vec![1e9, -1.0, f64::NAN],
     };
-    let e1 = c
-        .ac_sweep_with(&opts, &ParallelConfig::with_threads(1))
-        .expect_err("serial should reject");
-    let e4 = c
-        .ac_sweep_with(&opts, &ParallelConfig::with_threads(4))
-        .expect_err("parallel should reject");
+    let e1 = sweep(&c, &opts, 1).expect_err("serial should reject");
+    let e4 = sweep(&c, &opts, 4).expect_err("parallel should reject");
     assert_eq!(format!("{e1}"), format!("{e4}"));
 }
 
@@ -118,15 +113,15 @@ fn freqs() -> AcOptions {
 fn no_fault_resilient_sweep_is_bit_identical() {
     let (c, m, probe) = coupled(10);
     let opts = freqs();
-    let mf = MatrixFreeAcOptions::default();
     let ov: &[(usize, &dyn LinearOperator<Complex64>)] = &[(0, &m)];
-    let plain = c.ac_sweep_matrix_free(&opts, ov, &mf).unwrap();
-    // Both the strict (rescue off) and the default (rescue armed, never
-    // fired) configurations must reproduce the plain sweep bitwise.
+    let plain = c
+        .ac_sweep_matrix_free_resilient(&opts, ov, &ResilienceOptions::strict())
+        .unwrap()
+        .ac;
+    // The plain sweep runs under `strict()`, so the default leg (rescue
+    // armed, never fired) is the one that checks the resilience layer.
     for res in [ResilienceOptions::strict(), ResilienceOptions::default()] {
-        let sweep = c
-            .ac_sweep_matrix_free_resilient(&opts, ov, &mf, &res)
-            .unwrap();
+        let sweep = c.ac_sweep_matrix_free_resilient(&opts, ov, &res).unwrap();
         assert!(sweep.report.clean(), "{}", sweep.report.summary());
         assert_eq!(sweep.ac.freqs_hz, opts.freqs_hz);
         for idx in 0..opts.freqs_hz.len() {
@@ -145,7 +140,7 @@ fn dense_resilient_sweep_is_bit_identical_without_faults() {
         threads: 1,
         ..Default::default()
     };
-    let plain = c.ac_sweep_with(&opts, &cfg).unwrap();
+    let plain = sweep(&c, &opts, 1).unwrap();
     // The plain sweep runs under `strict()`, so the default leg (rescue
     // armed, never fired) is the one that checks the resilience layer.
     for res in [ResilienceOptions::strict(), ResilienceOptions::default()] {

@@ -1,10 +1,10 @@
 //! Chaos tests for the iterative-solve resilience layer (run with
 //! `--features solver-faults`).
 //!
-//! Extends the PR 2 fault-injection discipline to the Krylov stack:
-//! forced GMRES stagnation, NaN injection into operator matvecs, budget
-//! starvation, and cancellation. Every test asserts the contract of
-//! ISSUE 7's tentpole — the resilient sweeps either recover via a
+//! Extends the direct-solver fault-injection discipline to the Krylov
+//! stack: forced GMRES stagnation, NaN injection into operator matvecs,
+//! budget starvation, and cancellation. Every test asserts the
+//! resilience contract — the resilient sweeps either recover via a
 //! rescue rung, skip with a per-frequency typed report, or fail typed;
 //! they never panic and never hang. Bit-identity with no fault armed is
 //! checked in the default build, in `ac_parallel.rs`.
@@ -13,11 +13,11 @@
 
 use ind101_circuit::{
     faults, AcOptions, Circuit, CircuitError, FailurePolicy, FrequencyStatus, InductorSystem,
-    MatrixFreeAcOptions, NodeId, ResilienceOptions, SourceWave,
+    NodeId, ResilienceOptions, SourceWave,
 };
 use ind101_numeric::{
     CancelToken, Complex64, KrylovRescuePolicy, KrylovRescueRung, LinearOperator, Matrix,
-    ParallelConfig, SolveBudget,
+    NumericError, ParallelConfig, SolveBudget,
 };
 use std::sync::{Mutex, MutexGuard};
 
@@ -69,16 +69,12 @@ fn injected_stagnation_is_rescued_by_the_ladder() {
     let opts = freqs();
     let ov: &[(usize, &dyn LinearOperator<Complex64>)] = &[(0, &m)];
     let plain = c
-        .ac_sweep_matrix_free(&opts, ov, &MatrixFreeAcOptions::default())
-        .unwrap();
+        .ac_sweep_matrix_free_resilient(&opts, ov, &ResilienceOptions::strict())
+        .unwrap()
+        .ac;
     faults::inject_gmres_stagnation(1);
     let sweep = c
-        .ac_sweep_matrix_free_resilient(
-            &opts,
-            ov,
-            &MatrixFreeAcOptions::default(),
-            &ResilienceOptions::default(),
-        )
+        .ac_sweep_matrix_free_resilient(&opts, ov, &ResilienceOptions::default())
         .unwrap();
     faults::reset();
     // The first frequency's initial rung was forced to stagnate; the
@@ -108,12 +104,7 @@ fn injected_matvec_nan_is_contained_and_rescued() {
     let ov: &[(usize, &dyn LinearOperator<Complex64>)] = &[(0, &m)];
     faults::inject_matvec_nan(1);
     let sweep = c
-        .ac_sweep_matrix_free_resilient(
-            &opts,
-            ov,
-            &MatrixFreeAcOptions::default(),
-            &ResilienceOptions::default(),
-        )
+        .ac_sweep_matrix_free_resilient(&opts, ov, &ResilienceOptions::default())
         .unwrap();
     faults::reset();
     // The NaN surfaces as a typed breakdown (never a poisoned result or
@@ -139,7 +130,7 @@ fn ladder_exhaustion_skips_with_typed_report() {
     };
     faults::inject_gmres_stagnation(1);
     let sweep = c
-        .ac_sweep_matrix_free_resilient(&opts, ov, &MatrixFreeAcOptions::default(), &res)
+        .ac_sweep_matrix_free_resilient(&opts, ov, &res)
         .unwrap();
     faults::reset();
     // No rescue rungs armed: the faulted frequency is skipped with the
@@ -167,10 +158,13 @@ fn abort_policy_surfaces_the_typed_error() {
     };
     faults::inject_gmres_stagnation(1);
     let err = c
-        .ac_sweep_matrix_free_resilient(&freqs(), ov, &MatrixFreeAcOptions::default(), &res)
+        .ac_sweep_matrix_free_resilient(&freqs(), ov, &res)
         .unwrap_err();
     faults::reset();
-    assert!(matches!(err, CircuitError::Numeric(_)), "{err}");
+    assert!(
+        matches!(err, CircuitError::Numeric(NumericError::NoConvergence { .. })),
+        "{err}"
+    );
 }
 
 #[test]
@@ -182,7 +176,7 @@ fn wall_clock_starvation_stops_the_sweep_typed() {
     let res =
         ResilienceOptions::with_budget(SolveBudget::unlimited().with_wall_seconds(0.0));
     let sweep = c
-        .ac_sweep_matrix_free_resilient(&opts, ov, &MatrixFreeAcOptions::default(), &res)
+        .ac_sweep_matrix_free_resilient(&opts, ov, &res)
         .unwrap();
     // An already-expired deadline: nothing is attempted, the report says
     // why, and the call still returns (partial, empty) instead of
@@ -208,7 +202,7 @@ fn memory_starved_dense_fallback_is_refused_typed() {
     };
     faults::inject_gmres_stagnation(1);
     let sweep = c
-        .ac_sweep_matrix_free_resilient(&opts, ov, &MatrixFreeAcOptions::default(), &res)
+        .ac_sweep_matrix_free_resilient(&opts, ov, &res)
         .unwrap();
     faults::reset();
     assert_eq!(sweep.report.skipped_count(), 1, "{}", sweep.report.summary());
@@ -232,7 +226,7 @@ fn pre_cancelled_token_returns_partial_immediately() {
     token.cancel();
     let res = ResilienceOptions::with_budget(SolveBudget::unlimited().with_cancel(token));
     let sweep = c
-        .ac_sweep_matrix_free_resilient(&opts, ov, &MatrixFreeAcOptions::default(), &res)
+        .ac_sweep_matrix_free_resilient(&opts, ov, &res)
         .unwrap();
     assert_eq!(sweep.report.not_attempted_count(), opts.freqs_hz.len());
     let why = sweep.report.stopped.expect("stop reason recorded");

@@ -182,13 +182,19 @@ mod tests {
     fn budget_refuses_dense_with_typed_error() {
         // 64 filaments → 64·64·16 = 65 536 bytes of dense block.
         let tight = SolveBudget::unlimited().with_memory_bytes(1024);
-        let err = ExtractionBackend::Auto
-            .resolve_with_budget(64, &tight)
-            .unwrap_err();
-        assert!(
-            matches!(err, CircuitError::BudgetExceeded { .. }),
-            "expected BudgetExceeded, got {err:?}"
-        );
+        // `Auto` follows `IND101_EXTRACTION_BACKEND` when it is set, so
+        // it is refused exactly when it resolves to the dense path.
+        let auto = ExtractionBackend::Auto.resolve(64).unwrap();
+        let got = ExtractionBackend::Auto.resolve_with_budget(64, &tight);
+        if auto == ExtractionBackend::Dense {
+            let err = got.unwrap_err();
+            assert!(
+                matches!(err, CircuitError::BudgetExceeded { .. }),
+                "expected BudgetExceeded, got {err:?}"
+            );
+        } else {
+            assert_eq!(got.unwrap(), auto);
+        }
         let err = ExtractionBackend::Dense
             .resolve_with_budget(64, &tight)
             .unwrap_err();
@@ -204,7 +210,7 @@ mod tests {
         let roomy = SolveBudget::unlimited().with_memory_bytes(1 << 20);
         assert_eq!(
             ExtractionBackend::Auto.resolve_with_budget(64, &roomy).unwrap(),
-            ExtractionBackend::Dense
+            auto
         );
     }
 

@@ -1,8 +1,7 @@
 //! FastHenry-style loop R(f)/L(f) extraction.
 
 use ind101_circuit::{
-    AcOptions, Circuit, CircuitError, MatrixFreeAcOptions, NodeId, RecoveryReport,
-    ResilienceOptions, SourceWave,
+    AcOptions, Circuit, CircuitError, NodeId, RecoveryReport, ResilienceOptions, SourceWave,
 };
 use ind101_core::{InductanceMode, PeecModel, PeecParasitics};
 use ind101_extract::GridInductanceOperator;
@@ -98,18 +97,24 @@ pub fn extract_loop_rl(
 
 /// [`extract_loop_rl`] with an explicit parallelism configuration: the
 /// underlying AC sweep runs its per-frequency solves on `cfg.threads`
-/// worker threads, in deterministic frequency order.
+/// worker threads, in deterministic frequency order. This is
+/// [`extract_loop_rl_resilient`] with [`ExtractionBackend::Auto`] under
+/// `ResilienceOptions::strict()`.
 ///
 /// # Errors
 ///
-/// Fails if the named ports don't exist or the network is singular.
+/// Fails if the named ports don't exist, the network is singular, the
+/// Krylov solve does not converge, or `IND101_EXTRACTION_BACKEND` is
+/// set to an unrecognized value.
 pub fn extract_loop_rl_with(
     par: &PeecParasitics,
     spec: &LoopPortSpec,
     freqs_hz: &[f64],
     cfg: &ParallelConfig,
 ) -> Result<LoopExtraction, CircuitError> {
-    extract_loop_rl_backend(par, spec, freqs_hz, cfg, ExtractionBackend::default())
+    let strict = ResilienceOptions::strict();
+    extract_loop_rl_resilient(par, spec, freqs_hz, cfg, ExtractionBackend::default(), &strict)
+        .map(|r| r.extraction)
 }
 
 /// The loop-extraction probe circuit, before any AC sweep runs.
@@ -213,36 +218,6 @@ fn build_probe(par: &PeecParasitics, spec: &LoopPortSpec) -> Result<ProbeCircuit
     })
 }
 
-/// [`extract_loop_rl_with`] with an explicit [`ExtractionBackend`].
-///
-/// `Dense` stamps the full partial-inductance matrix into the MNA
-/// system and factorizes directly — the reference oracle. `MatrixFree`
-/// keeps the `−jωM` block out of the factorized matrix and applies it
-/// through a [`LinearOperator`] inside preconditioned GMRES: an
-/// FFT-accelerated block-Toeplitz operator when the inductive segments
-/// form a regular filament lattice
-/// ([`GridInductanceOperator::detect`]), a dense matvec otherwise.
-/// `Auto` defers to `IND101_EXTRACTION_BACKEND`, then to problem size.
-///
-/// This is [`extract_loop_rl_resilient`] under
-/// `ResilienceOptions::strict()`.
-///
-/// # Errors
-///
-/// Fails if the named ports don't exist, the network is singular, the
-/// Krylov solve does not converge, or `IND101_EXTRACTION_BACKEND` is
-/// set to an unrecognized value.
-pub fn extract_loop_rl_backend(
-    par: &PeecParasitics,
-    spec: &LoopPortSpec,
-    freqs_hz: &[f64],
-    cfg: &ParallelConfig,
-    backend: ExtractionBackend,
-) -> Result<LoopExtraction, CircuitError> {
-    extract_loop_rl_resilient(par, spec, freqs_hz, cfg, backend, &ResilienceOptions::strict())
-        .map(|r| r.extraction)
-}
-
 /// A loop extraction carried out under the solve-resilience layer:
 /// `extraction` holds `R(f)`/`L(f)` for the frequencies that solved
 /// (possibly a subset of the request), `report` records the outcome of
@@ -255,12 +230,23 @@ pub struct ResilientLoopExtraction {
     pub report: RecoveryReport,
 }
 
-/// [`extract_loop_rl_backend`] under the solve-resilience layer.
+/// Loop extraction with an explicit [`ExtractionBackend`], under the
+/// solve-resilience layer.
+///
+/// `Dense` stamps the full partial-inductance matrix into the MNA
+/// system and factorizes directly — the reference oracle. `MatrixFree`
+/// keeps the `−jωM` block out of the factorized matrix and applies it
+/// through a [`LinearOperator`] inside preconditioned GMRES: an
+/// FFT-accelerated block-Toeplitz operator when the inductive segments
+/// form a regular filament lattice
+/// ([`GridInductanceOperator::detect`]), a dense matvec otherwise.
+/// `Auto` defers to `IND101_EXTRACTION_BACKEND`, then to problem size.
 ///
 /// The backend resolution honours the memory budget
 /// ([`ExtractionBackend::resolve_with_budget`]): a dense path whose
 /// stamped partial-inductance block would not fit is refused with a
-/// typed [`CircuitError::BudgetExceeded`] before any allocation. The
+/// typed [`CircuitError::BudgetExceeded`] before the probe circuit (and
+/// its copies of the partial-inductance matrix) is built. The
 /// underlying AC sweep runs under `resilience`'s budget, cancellation
 /// token, rescue ladder (matrix-free path) and
 /// [`ind101_circuit::FailurePolicy`], so a single bad frequency skips
@@ -269,9 +255,10 @@ pub struct ResilientLoopExtraction {
 ///
 /// # Errors
 ///
-/// Fails if the named ports don't exist, the backend resolution is
-/// refused by the budget, or — under `FailurePolicy::Abort` — any
-/// frequency fails to solve.
+/// Fails if the backend resolution is refused by the budget or by an
+/// unrecognized `IND101_EXTRACTION_BACKEND`, the named ports don't
+/// exist, or — under `FailurePolicy::Abort` — any frequency fails to
+/// solve.
 pub fn extract_loop_rl_resilient(
     par: &PeecParasitics,
     spec: &LoopPortSpec,
@@ -280,8 +267,10 @@ pub fn extract_loop_rl_resilient(
     backend: ExtractionBackend,
     resilience: &ResilienceOptions,
 ) -> Result<ResilientLoopExtraction, CircuitError> {
+    // Every segment is inductive under `InductanceMode::Full`, so
+    // `par.len()` is the size of the block `build_probe` would copy.
+    let resolved = backend.resolve_with_budget(par.len(), &resilience.budget)?;
     let probe = build_probe(par, spec)?;
-    let resolved = backend.resolve_with_budget(probe.inductive.len(), &resilience.budget)?;
     let opts = AcOptions {
         freqs_hz: freqs_hz.to_vec(),
     };
@@ -292,12 +281,9 @@ pub fn extract_loop_rl_resilient(
                 Some(g) => g,
                 None => &probe.circuit.inductor_systems()[sys].m,
             };
-            probe.circuit.ac_sweep_matrix_free_resilient(
-                &opts,
-                &[(sys, op)],
-                &MatrixFreeAcOptions::default(),
-                resilience,
-            )?
+            probe
+                .circuit
+                .ac_sweep_matrix_free_resilient(&opts, &[(sys, op)], resilience)?
         }
         // A matrix-free request with no inductive system degenerates to
         // the plain sweep: there is no `−jωM` block to keep matrix-free.
@@ -488,12 +474,14 @@ mod tests {
             let bus = generate_bus(&tech, &spec);
             let par = PeecParasitics::extract(&bus, um(800));
             let pspec = LoopPortSpec::from_layout(&par).unwrap();
-            let dense =
-                extract_loop_rl_backend(&par, &pspec, &freqs, &cfg, ExtractionBackend::Dense)
-                    .unwrap();
-            let mf =
-                extract_loop_rl_backend(&par, &pspec, &freqs, &cfg, ExtractionBackend::MatrixFree)
-                    .unwrap();
+            let strict = ResilienceOptions::strict();
+            let run = |backend| {
+                extract_loop_rl_resilient(&par, &pspec, &freqs, &cfg, backend, &strict)
+                    .unwrap()
+                    .extraction
+            };
+            let dense = run(ExtractionBackend::Dense);
+            let mf = run(ExtractionBackend::MatrixFree);
             for i in 0..freqs.len() {
                 let (rd, ld) = dense.at(i);
                 let (rm, lm) = mf.at(i);

@@ -33,8 +33,8 @@ mod netlist;
 
 pub use backend::{ExtractionBackend, AUTO_MATRIX_FREE_THRESHOLD, EXTRACTION_BACKEND_ENV};
 pub use extract::{
-    extract_loop_rl, extract_loop_rl_backend, extract_loop_rl_resilient, extract_loop_rl_with,
-    LoopExtraction, LoopPortSpec, ResilientLoopExtraction,
+    extract_loop_rl, extract_loop_rl_resilient, extract_loop_rl_with, LoopExtraction,
+    LoopPortSpec, ResilientLoopExtraction,
 };
 pub use ladder::LadderFit;
 pub use netlist::{build_loop_circuit, LoopCircuit, LoopInterconnect, LoopNetlistSpec};

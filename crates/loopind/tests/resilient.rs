@@ -2,19 +2,17 @@
 //! refusal, and cancellation at the `extract_loop_rl_resilient` level.
 //!
 //! No fault injection here (that lives in the circuit crate's chaos
-//! suite) — these tests pin the *no-fault* contract: the resilient
-//! entry point is bit-identical to the plain one on both backends, a
-//! memory budget refuses the dense path with a typed error before any
-//! allocation, and cancellation/deadlines return an empty partial
-//! result with full telemetry instead of hanging.
+//! suite) — these tests pin the *no-fault* contract: the armed
+//! resilience layer is bit-identical to the strict one on both
+//! backends, a memory budget refuses the dense path with a typed error
+//! before the probe circuit is built, and cancellation/deadlines return
+//! an empty partial result with full telemetry instead of hanging.
 
 use ind101_circuit::{CircuitError, ResilienceOptions};
 use ind101_geom::generators::{generate_bus, BusSpec, ShieldPattern};
 use ind101_geom::{um, Technology};
 use ind101_core::PeecParasitics;
-use ind101_loop::{
-    extract_loop_rl_backend, extract_loop_rl_resilient, ExtractionBackend, LoopPortSpec,
-};
+use ind101_loop::{extract_loop_rl_resilient, ExtractionBackend, LoopPortSpec};
 use ind101_numeric::{CancelToken, ParallelConfig, SolveBudget};
 
 fn bus_parasitics() -> PeecParasitics {
@@ -37,9 +35,13 @@ fn resilient_matches_plain_bitwise_on_both_backends() {
     let freqs = [1e8, 5e9, 4e10];
     let cfg = ParallelConfig::serial();
     for backend in [ExtractionBackend::Dense, ExtractionBackend::MatrixFree] {
-        let plain = extract_loop_rl_backend(&par, &spec, &freqs, &cfg, backend).unwrap();
-        // Strict (resilience off) and default (armed, never fired) must
-        // both reproduce the plain extraction bit for bit.
+        let strict = ResilienceOptions::strict();
+        let plain = extract_loop_rl_resilient(&par, &spec, &freqs, &cfg, backend, &strict)
+            .unwrap()
+            .extraction;
+        // The plain extraction runs under `strict()`, so the default leg
+        // (armed, never fired) is the one that checks the resilience
+        // layer: it must reproduce the plain extraction bit for bit.
         for res in [ResilienceOptions::strict(), ResilienceOptions::default()] {
             let resilient =
                 extract_loop_rl_resilient(&par, &spec, &freqs, &cfg, backend, &res).unwrap();
@@ -64,13 +66,45 @@ fn tiny_memory_budget_refuses_dense_backend_typed() {
     let cfg = ParallelConfig::serial();
     let res = ResilienceOptions::with_budget(SolveBudget::unlimited().with_memory_bytes(64));
     for backend in [ExtractionBackend::Dense, ExtractionBackend::Auto] {
-        let err =
-            extract_loop_rl_resilient(&par, &spec, &[1e9], &cfg, backend, &res).unwrap_err();
-        assert!(
-            matches!(err, CircuitError::BudgetExceeded { .. }),
-            "{backend:?}: expected BudgetExceeded, got {err:?}"
-        );
+        let got = extract_loop_rl_resilient(&par, &spec, &[1e9], &cfg, backend, &res);
+        // `Auto` follows `IND101_EXTRACTION_BACKEND` when it is set, so
+        // it is refused exactly when it resolves to the dense path.
+        if backend.resolve(par.len()).unwrap() == ExtractionBackend::Dense {
+            let err = got.unwrap_err();
+            assert!(
+                matches!(err, CircuitError::BudgetExceeded { .. }),
+                "{backend:?}: expected BudgetExceeded, got {err:?}"
+            );
+        } else {
+            assert!(got.is_ok(), "{backend:?}: {:?}", got.err());
+        }
     }
+}
+
+#[test]
+fn dense_budget_refusal_precedes_probe_build() {
+    // The refusal must come before the probe circuit (and its copies of
+    // the partial-inductance block) is built, so it wins over an error
+    // the build would raise: here, a driver port that does not exist.
+    let par = bus_parasitics();
+    let spec = LoopPortSpec {
+        driver_port: "missing".to_owned(),
+        receiver_ports: vec![],
+    };
+    let res = ResilienceOptions::with_budget(SolveBudget::unlimited().with_memory_bytes(64));
+    let err = extract_loop_rl_resilient(
+        &par,
+        &spec,
+        &[1e9],
+        &ParallelConfig::serial(),
+        ExtractionBackend::Dense,
+        &res,
+    )
+    .unwrap_err();
+    assert!(
+        matches!(err, CircuitError::BudgetExceeded { .. }),
+        "expected BudgetExceeded, got {err:?}"
+    );
 }
 
 #[test]

@@ -9,15 +9,13 @@
 //! 1. **Initial** — the caller's options and preconditioner, verbatim.
 //!    When this rung converges the arithmetic (and hence the bits of
 //!    the answer) are identical to a plain [`crate::gmres`] call.
-//! 2. **Grown restart** — retry with the restart length multiplied by
-//!    [`KrylovRescuePolicy::restart_growth`]; a longer cycle often
-//!    breaks a stagnation plateau at modest memory cost.
-//! 3. **Preconditioner escalation** — Jacobi → block-Jacobi →
-//!    direct-factorized, whichever the [`RescueProvider`] can supply.
-//! 4. **Dense-direct fallback** — materialize the operator as a dense
-//!    matrix and LU-solve. Refused with a typed
-//!    [`KrylovError::BudgetExceeded`] when the n×n matrix would not fit
-//!    in [`SolveBudget::max_memory_bytes`].
+//! 2. **Grown restart** — retry from zero with the restart length and
+//!    the matvec cap multiplied by 4; a longer cycle often breaks a
+//!    stagnation plateau at modest memory cost.
+//! 3. **Dense-direct fallback** — materialize the operator as a dense
+//!    matrix (supplied by the [`RescueProvider`]) and LU-solve. Refused
+//!    with a typed [`KrylovError::BudgetExceeded`] when the n×n matrix
+//!    would not fit in [`SolveBudget::max_memory_bytes`].
 //!
 //! Every rung records a [`KrylovRungTrace`]; the final
 //! [`KrylovRescueReport`] says which rung converged (if any), so sweep
@@ -32,37 +30,13 @@ use crate::krylov::{
 use crate::{Matrix, Scalar};
 use std::fmt;
 
-/// Preconditioner strength levels for the escalation rung, weakest
-/// first.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum PrecondEscalation {
-    /// Diagonal (Jacobi) preconditioner.
-    Jacobi,
-    /// Block-diagonal preconditioner with exactly solved blocks.
-    BlockJacobi,
-    /// A direct factorization of a full approximation of the operator.
-    DirectFactored,
-}
-
-impl fmt::Display for PrecondEscalation {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Self::Jacobi => write!(f, "jacobi"),
-            Self::BlockJacobi => write!(f, "block-jacobi"),
-            Self::DirectFactored => write!(f, "direct-factored"),
-        }
-    }
-}
-
 /// One rung of the Krylov rescue ladder.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum KrylovRescueRung {
     /// The caller's configuration, unmodified.
     Initial,
-    /// Restart length grown by [`KrylovRescuePolicy::restart_growth`].
+    /// Restart length and matvec cap multiplied by 4.
     GrownRestart,
-    /// A stronger preconditioner supplied by the [`RescueProvider`].
-    Preconditioner(PrecondEscalation),
     /// Dense materialization and direct LU solve.
     DenseDirect,
 }
@@ -72,7 +46,6 @@ impl fmt::Display for KrylovRescueRung {
         match self {
             Self::Initial => write!(f, "initial"),
             Self::GrownRestart => write!(f, "grown-restart"),
-            Self::Preconditioner(p) => write!(f, "preconditioner({p})"),
             Self::DenseDirect => write!(f, "dense-direct"),
         }
     }
@@ -84,14 +57,9 @@ impl fmt::Display for KrylovRescueRung {
 /// plain guarded solve, preserving bit-identity with [`crate::gmres`].
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct KrylovRescuePolicy {
-    /// Retry once with the restart length multiplied by
-    /// [`Self::restart_growth`].
+    /// Retry once from zero with the restart length and matvec cap
+    /// multiplied by 4.
     pub grow_restart: bool,
-    /// Restart-length multiplier for the grown-restart rung (and for
-    /// all later rungs, which keep the grown length). Clamped to ≥ 2.
-    pub restart_growth: usize,
-    /// Climb through provider-supplied preconditioners.
-    pub escalate_preconditioner: bool,
     /// Materialize the operator densely and LU-solve as the last rung.
     pub dense_fallback: bool,
 }
@@ -108,19 +76,15 @@ impl KrylovRescuePolicy {
     pub fn disabled() -> Self {
         Self {
             grow_restart: false,
-            restart_growth: 4,
-            escalate_preconditioner: false,
             dense_fallback: false,
         }
     }
 
-    /// Every rung enabled with default growth.
+    /// Every rung enabled.
     #[must_use]
     pub fn full() -> Self {
         Self {
             grow_restart: true,
-            restart_growth: 4,
-            escalate_preconditioner: true,
             dense_fallback: true,
         }
     }
@@ -128,7 +92,7 @@ impl KrylovRescuePolicy {
     /// Whether any rescue rung beyond the initial solve is enabled.
     #[must_use]
     pub fn any_enabled(&self) -> bool {
-        self.grow_restart || self.escalate_preconditioner || self.dense_fallback
+        self.grow_restart || self.dense_fallback
     }
 }
 
@@ -218,20 +182,12 @@ impl fmt::Display for KrylovRescueFailure {
 
 impl std::error::Error for KrylovRescueFailure {}
 
-/// Problem-specific escalation material for the rescue ladder.
+/// Problem-specific material for the dense-direct rung.
 ///
-/// The ladder itself is generic; what a "stronger preconditioner" or
-/// "the dense matrix" means depends on the caller (an MNA AC system, a
-/// raw Toeplitz operator, …). Every method defaults to "not available",
-/// which simply skips the corresponding rung.
+/// The ladder itself is generic; what "the dense matrix" means depends
+/// on the caller (an MNA AC system, a raw Toeplitz operator, …). The
+/// default is "not available", which skips the rung.
 pub trait RescueProvider<T: Scalar> {
-    /// A preconditioner at the requested escalation level, or `None`
-    /// when this level is unavailable or no stronger than what the
-    /// initial solve already used.
-    fn preconditioner(&self, _level: PrecondEscalation) -> Option<Box<dyn Preconditioner<T> + '_>> {
-        None
-    }
-
     /// The operator materialized as a dense matrix for the direct
     /// fallback, or `None` when materialization is impossible.
     fn dense_matrix(&self) -> Option<Matrix<T>> {
@@ -239,8 +195,8 @@ pub trait RescueProvider<T: Scalar> {
     }
 }
 
-/// A provider with no escalation material: only the grown-restart rung
-/// can fire.
+/// A provider with no dense matrix: only the grown-restart rung can
+/// fire.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct NoEscalation;
 
@@ -251,6 +207,10 @@ impl<T: Scalar> RescueProvider<T> for NoEscalation {}
 /// slightly above an aggressive iterative tolerance without being
 /// wrong.
 const DENSE_RESIDUAL_SLACK: f64 = 1e3;
+
+/// Factor by which the grown-restart rung multiplies the restart
+/// length (capped at the operator dimension) and the matvec cap.
+const RESTART_GROWTH: usize = 4;
 
 struct Ladder<'a, T: Scalar> {
     a: &'a dyn LinearOperator<T>,
@@ -268,11 +228,10 @@ impl<T: Scalar> Ladder<'_, T> {
         &mut self,
         rung: KrylovRescueRung,
         x0: Option<&[T]>,
-        m: Option<&dyn Preconditioner<T>>,
         opts: &KrylovOptions,
     ) -> Result<Option<KrylovSolution<T>>, KrylovError> {
         let before = self.guard.elapsed_seconds();
-        let result = gmres_guarded(self.a, self.b, x0, m.unwrap_or(self.m), opts, &self.guard);
+        let result = gmres_guarded(self.a, self.b, x0, self.m, opts, &self.guard);
         let elapsed = self.guard.elapsed_seconds() - before;
         match result {
             Ok(sol) => {
@@ -355,8 +314,8 @@ pub fn solve_with_rescue<T: Scalar>(
     };
 
     macro_rules! rung {
-        ($rung:expr, $x0:expr, $m:expr, $opts:expr) => {
-            match ladder.gmres_rung($rung, $x0, $m, $opts) {
+        ($rung:expr, $x0:expr, $opts:expr) => {
+            match ladder.gmres_rung($rung, $x0, $opts) {
                 Ok(Some(sol)) => return Ok((sol, ladder.report)),
                 Ok(None) => {}
                 Err(e) => {
@@ -369,38 +328,18 @@ pub fn solve_with_rescue<T: Scalar>(
         };
     }
 
-    rung!(KrylovRescueRung::Initial, x0, None, opts);
+    rung!(KrylovRescueRung::Initial, x0, opts);
 
-    // The rescue rungs both lengthen the restart cycle and scale the
+    // The grown rung both lengthens the restart cycle and scales the
     // matvec cap with it — retrying under the same tight cap that just
     // failed would be pointless.
-    let growth = policy.restart_growth.max(2);
-    let grown_opts = KrylovOptions {
-        restart: opts.restart.saturating_mul(growth).min(a.dim().max(1)),
-        max_iters: opts.max_iters.saturating_mul(growth),
-        ..opts.clone()
-    };
-    let later_opts = if policy.grow_restart { &grown_opts } else { opts };
-
     if policy.grow_restart {
-        rung!(KrylovRescueRung::GrownRestart, None, None, &grown_opts);
-    }
-
-    if policy.escalate_preconditioner {
-        for level in [
-            PrecondEscalation::Jacobi,
-            PrecondEscalation::BlockJacobi,
-            PrecondEscalation::DirectFactored,
-        ] {
-            if let Some(p) = provider.preconditioner(level) {
-                rung!(
-                    KrylovRescueRung::Preconditioner(level),
-                    None,
-                    Some(p.as_ref()),
-                    later_opts
-                );
-            }
-        }
+        let grown_opts = KrylovOptions {
+            restart: opts.restart.saturating_mul(RESTART_GROWTH).min(a.dim().max(1)),
+            max_iters: opts.max_iters.saturating_mul(RESTART_GROWTH),
+            ..opts.clone()
+        };
+        rung!(KrylovRescueRung::GrownRestart, None, &grown_opts);
     }
 
     if policy.dense_fallback {
@@ -519,7 +458,7 @@ pub fn solve_with_rescue<T: Scalar>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{gmres, CancelToken, IdentityPreconditioner, JacobiPreconditioner};
+    use crate::{gmres, CancelToken, IdentityPreconditioner};
 
     fn laplacian(n: usize) -> Matrix<f64> {
         Matrix::from_fn(n, n, |i, j| {
@@ -538,18 +477,6 @@ mod tests {
     }
 
     impl RescueProvider<f64> for DenseProvider<'_> {
-        fn preconditioner(
-            &self,
-            level: PrecondEscalation,
-        ) -> Option<Box<dyn Preconditioner<f64> + '_>> {
-            match level {
-                PrecondEscalation::Jacobi => {
-                    Some(Box::new(JacobiPreconditioner::from_matrix(self.a)))
-                }
-                _ => None,
-            }
-        }
-
         fn dense_matrix(&self) -> Option<Matrix<f64>> {
             Some(self.a.clone())
         }
@@ -585,16 +512,14 @@ mod tests {
         let a = laplacian(n);
         let b = vec![1.0; n];
         // Tiny restart + tight cap: the initial rung caps out, the
-        // grown-restart rung converges.
+        // grown-restart rung (restart 8, cap 80) converges.
         let opts = KrylovOptions {
             tol: 1e-10,
-            max_iters: 12,
+            max_iters: 20,
             restart: 2,
         };
         let policy = KrylovRescuePolicy {
             grow_restart: true,
-            restart_growth: 40,
-            escalate_preconditioner: false,
             dense_fallback: false,
         };
         let (sol, report) = solve_with_rescue(
@@ -631,8 +556,6 @@ mod tests {
         };
         let policy = KrylovRescuePolicy {
             grow_restart: false,
-            restart_growth: 2,
-            escalate_preconditioner: false,
             dense_fallback: true,
         };
         let provider = DenseProvider { a: &a };
@@ -666,8 +589,6 @@ mod tests {
         };
         let policy = KrylovRescuePolicy {
             grow_restart: false,
-            restart_growth: 2,
-            escalate_preconditioner: false,
             dense_fallback: true,
         };
         let provider = DenseProvider { a: &a };
@@ -714,41 +635,5 @@ mod tests {
         assert!(matches!(err.error, KrylovError::Cancelled { .. }));
         // Cancellation must not climb: exactly one rung attempted.
         assert_eq!(err.report.rungs.len(), 1);
-    }
-
-    #[test]
-    fn preconditioner_escalation_is_traced() {
-        let n = 60;
-        let a = laplacian(n);
-        let b = vec![1.0; n];
-        let opts = KrylovOptions {
-            tol: 1e-10,
-            max_iters: 25,
-            restart: 3,
-        };
-        let policy = KrylovRescuePolicy {
-            grow_restart: false,
-            restart_growth: 2,
-            escalate_preconditioner: true,
-            dense_fallback: true,
-        };
-        let provider = DenseProvider { a: &a };
-        let (_, report) = solve_with_rescue(
-            &a,
-            &b,
-            None,
-            &IdentityPreconditioner,
-            &opts,
-            &policy,
-            &SolveBudget::unlimited(),
-            &provider,
-        )
-        .unwrap();
-        // However far it climbed, the trace must name every rung tried
-        // and end converged.
-        assert!(report.converged_by.is_some());
-        assert!(!report.rungs.is_empty());
-        let last = report.rungs.last().unwrap();
-        assert!(last.converged());
     }
 }

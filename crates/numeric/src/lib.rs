@@ -76,13 +76,12 @@ pub use error::NumericError;
 pub use fft::Fft;
 pub use gemm::gemm_into;
 pub use krylov::{
-    conjugate_gradient, conjugate_gradient_guarded, gmres, gmres_guarded,
-    BlockJacobiPreconditioner, IdentityPreconditioner, JacobiPreconditioner, KrylovError,
+    gmres, gmres_guarded, IdentityPreconditioner, JacobiPreconditioner, KrylovError,
     KrylovOptions, KrylovSolution, LinearOperator, Preconditioner,
 };
 pub use krylov_rescue::{
     solve_with_rescue, KrylovRescueFailure, KrylovRescuePolicy, KrylovRescueReport,
-    KrylovRescueRung, KrylovRungTrace, NoEscalation, PrecondEscalation, RescueProvider,
+    KrylovRescueRung, KrylovRungTrace, NoEscalation, RescueProvider,
 };
 pub use lu::{LuFactors, LU_BLOCK};
 pub use ordering::{bandwidth, reverse_cuthill_mckee, Permutation};

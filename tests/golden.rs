@@ -25,8 +25,9 @@ use ind101_bench::flows::{
 };
 use ind101_bench::{clock_case, Scale};
 use ind101_core::InductanceMode;
+use ind101_circuit::ResilienceOptions;
 use ind101_loop::{
-    extract_loop_rl, extract_loop_rl_backend, ExtractionBackend, LadderFit, LoopPortSpec,
+    extract_loop_rl, extract_loop_rl_resilient, ExtractionBackend, LadderFit, LoopPortSpec,
 };
 use ind101_numeric::ParallelConfig;
 use ind101_sparsify::block_diagonal::{block_diagonal, sections_by_signal_distance};
@@ -252,11 +253,14 @@ fn golden_fig3_backend_independence() {
     let spec = LoopPortSpec::from_layout(&case.par).expect("clock ports");
     let freqs = [1e8, 1e9, 2e10];
     let cfg = ParallelConfig::default();
-    let dense = extract_loop_rl_backend(&case.par, &spec, &freqs, &cfg, ExtractionBackend::Dense)
-        .expect("dense loop extraction");
-    let mf =
-        extract_loop_rl_backend(&case.par, &spec, &freqs, &cfg, ExtractionBackend::MatrixFree)
-            .expect("matrix-free loop extraction");
+    let strict = ResilienceOptions::strict();
+    let run = |backend: ExtractionBackend| {
+        extract_loop_rl_resilient(&case.par, &spec, &freqs, &cfg, backend, &strict)
+            .map(|r| r.extraction)
+            .unwrap_or_else(|e| panic!("{} loop extraction: {e}", backend.name()))
+    };
+    let dense = run(ExtractionBackend::Dense);
+    let mf = run(ExtractionBackend::MatrixFree);
     for i in 0..freqs.len() {
         let (rd, ld) = dense.at(i);
         let (rm, lm) = mf.at(i);
