@@ -17,8 +17,8 @@
 //! * **Measurements** — 50 % delay, skew, overshoot, ringing, noise
 //!   peaks ([`measure`]).
 //!
-//! The linear solver self-selects between banded LU after reverse
-//! Cuthill–McKee ordering (sparse circuits: RC grids) and dense LU
+//! The linear solver self-selects between a KLU-class sparse LU (BTF +
+//! AMD ordering; sparse circuits: RC grids, loop models) and dense LU
 //! (circuits with large dense mutual-inductance blocks). This mirrors
 //! the paper's observation that the dense PEEC matrix is the simulation
 //! bottleneck — and makes the Table 1 run-time comparison meaningful.

@@ -1,20 +1,19 @@
-//! Linear solver backend with automatic dense/banded/sparse selection.
+//! Linear solver backend with automatic dense/sparse selection.
 //!
-//! RC-dominated circuits (grids) reorder into tight bands under reverse
-//! Cuthill–McKee and factor in near-linear time; wide but still sparse
-//! patterns route to the AMD-ordered sparse LU; circuits carrying a
-//! dense mutual-inductance block fall back to dense LU.
+//! Sparse patterns (RC grids, loop models) route to the KLU-class
+//! sparse LU (BTF + AMD ordering); circuits carrying a dense
+//! mutual-inductance block fall back to dense LU.
 //! This split *is* the paper's run-time story: PEEC-RC fast, PEEC-RLC
 //! slow, loop-model fast again.
 //!
 //! The [`SolverBackend`] knob picks the family: `Dense` keeps the dense
 //! kernel as the differential oracle, `Sparse` forces the sparse direct
 //! path (KLU-class: BTF blocks + supernodal LU), and `Auto` (the
-//! default) selects by structure — small systems dense, tight bands
-//! banded, low-density patterns sparse, and denser patterns whose BTF
-//! decomposes into small irreducible blocks sparse as well. `Auto` also
-//! honours the `IND101_SOLVER_BACKEND` environment variable so CI can
-//! run the whole suite under either family without code changes.
+//! default) selects by structure — small systems dense, low-density
+//! patterns sparse, denser patterns whose BTF decomposes into small
+//! irreducible blocks sparse as well, and everything else dense. `Auto`
+//! also honours the `IND101_SOLVER_BACKEND` environment variable so CI
+//! can run the whole suite under either family without code changes.
 //!
 //! The sparse backend splits factorization into a one-time **symbolic**
 //! phase (ordering + fill pattern) and a per-matrix **numeric** phase;
@@ -31,15 +30,13 @@
 //! fixed-step simulation path stays bit-for-bit reproducible; the
 //! rescue ladder and the adaptive transient path — where stiff,
 //! marginal systems actually arise — enable it.
-//! Singular pivots are mapped back from the
-//! solver's internal (possibly RCM-permuted) ordering to the original
-//! MNA unknown index, so analyses can name the offending node instead
-//! of an opaque pivot position.
+//! Singular pivots are reported in the original MNA unknown ordering,
+//! so analyses can name the offending node instead of an opaque pivot
+//! position.
 
 use crate::Result;
 use ind101_numeric::{
-    bandwidth, reverse_cuthill_mckee, BandedMatrix, BtfForm, CsrMatrix, LuFactors, Matrix,
-    NumericError, Permutation, Scalar, SparseLu, SymbolicLu, Triplets,
+    BtfForm, CsrMatrix, LuFactors, Matrix, NumericError, Scalar, SparseLu, SymbolicLu, Triplets,
 };
 use std::sync::Arc;
 
@@ -53,7 +50,7 @@ pub(crate) const SMALL_DENSE: usize = 48;
 const ILL_COND_THRESHOLD: f64 = 1e8;
 
 /// Auto heuristic: patterns at or below this stored-entry fraction route
-/// to the sparse direct kernel when they are not tightly banded.
+/// to the sparse direct kernel.
 const SPARSE_DENSITY: f64 = 0.1;
 
 /// Auto heuristic, BTF clause: when the largest irreducible diagonal
@@ -63,16 +60,19 @@ const SPARSE_DENSITY: f64 = 0.1;
 const BTF_SMALL_BLOCK_DIVISOR: usize = 4;
 
 /// Iterative-refinement rounds every sparse solve performs. Static
-/// pivoting can shed digits on stiff MNA systems; two residual passes
-/// (cheap CSR matvecs) restore them deterministically.
+/// pivoting can shed digits on stiff MNA systems; residual passes
+/// restore them deterministically. Each round costs a CSR matvec and a
+/// triangular solve pair, so the rounds are not cheap: on the Large
+/// PEEC (RLC) transient the second round alone is about a third of
+/// solve time, and it seldom lowers the backward error further.
 const SPARSE_REFINE_ROUNDS: usize = 2;
 
 /// Which linear-solver family the circuit engine uses.
 ///
 /// `Dense` is the reference oracle (partial-pivot LU on the full
 /// matrix), `Sparse` is the AMD-ordered sparse direct LU with reusable
-/// symbolic factorization, and `Auto` picks per system by size, band
-/// structure, and density. `Auto` defers to the
+/// symbolic factorization, and `Auto` picks per system by size,
+/// density, and BTF block structure. `Auto` defers to the
 /// `IND101_SOLVER_BACKEND` environment variable (`dense` | `sparse` |
 /// `auto`) when it is set, which is how the CI matrix forces each
 /// family.
@@ -139,10 +139,6 @@ pub(crate) enum Solver<T: Scalar> {
         /// Iteratively refine ill-conditioned solves (opt-in).
         refine: bool,
     },
-    Banded {
-        fac: BandedMatrix<T>,
-        perm: Permutation,
-    },
     Sparse {
         lu: SparseLu<T>,
         /// Assembled matrix, kept for the refinement matvecs.
@@ -184,41 +180,15 @@ impl<T: Scalar> Solver<T> {
             SolverBackend::Sparse => return Self::build_sparse(t.to_csr(), hint),
             SolverBackend::Auto => {}
         }
-        // Structural analysis: RCM + bandwidth.
         let csr = t.to_csr();
-        let adj = csr.adjacency();
-        let perm = reverse_cuthill_mckee(&adj);
-        let pattern: Vec<(usize, usize)> = t.entries().iter().map(|&(i, j, _)| (i, j)).collect();
-        let (kl, ku) = bandwidth(&pattern, &perm);
-        // Banded factorization costs ~ n·(kl+ku)²; dense ~ n³/3.
-        // Prefer banded when the band is comfortably below n.
-        let band = kl + ku + 1;
-        if band * 3 < n {
-            let mut pt = Triplets::new(n, n);
-            for &(i, j, v) in t.entries() {
-                pt.push(perm.new_of(i), perm.new_of(j), v);
-            }
-            let mut fac = BandedMatrix::from_triplets(&pt, kl, ku)?;
-            if let Err(e) = fac.factor() {
-                // Pivot indices inside the banded kernel live in RCM
-                // coordinates; translate back before reporting.
-                return Err(match e {
-                    NumericError::Singular { pivot } => NumericError::Singular {
-                        pivot: perm.old_of(pivot),
-                    }
-                    .into(),
-                    other => other.into(),
-                });
-            }
-            Ok(Self::Banded { fac, perm })
-        } else if csr.density() <= SPARSE_DENSITY || Self::btf_prefers_sparse(&csr) {
-            // Wide-band but sparse pattern — or a denser pattern whose
-            // BTF decomposes into small independent blocks: the sparse
-            // direct kernel. A static-pivot singularity is not proof of
-            // a singular matrix, so Auto retries densely (partial
-            // pivoting) before giving up; a *structurally* singular
-            // pattern also retries densely so the error the caller sees
-            // names a numeric pivot, as the dense oracle always has.
+        if csr.density() <= SPARSE_DENSITY || Self::btf_prefers_sparse(&csr) {
+            // Sparse pattern — or a denser pattern whose BTF decomposes
+            // into small independent blocks: the sparse direct kernel.
+            // A static-pivot singularity is not proof of a singular
+            // matrix, so Auto retries densely (partial pivoting) before
+            // giving up; a *structurally* singular pattern also retries
+            // densely so the error the caller sees names a numeric
+            // pivot, as the dense oracle always has.
             match Self::build_sparse(csr, hint) {
                 Err(crate::CircuitError::Numeric(
                     NumericError::Singular { .. } | NumericError::StructurallySingular { .. },
@@ -267,7 +237,7 @@ impl<T: Scalar> Solver<T> {
     }
 
     /// Enables one round of iterative refinement on ill-conditioned
-    /// dense solves. No-op for the banded backend.
+    /// dense solves. No-op for the sparse backend, which always refines.
     #[must_use]
     pub(crate) fn with_refinement(mut self) -> Self {
         if let Self::Dense { refine, .. } = &mut self {
@@ -293,14 +263,9 @@ impl<T: Scalar> Solver<T> {
                     Ok(fac.solve(b)?)
                 }
             }
-            Self::Banded { fac, perm } => {
-                let pb = perm.apply(b);
-                let px = fac.solve(&pb)?;
-                Ok(perm.apply_inverse(&px))
-            }
             // Sparse solves always refine: static pivoting trades
-            // pivot-hunting for accuracy, and two CSR-matvec refinement
-            // rounds buy the digits back at negligible cost.
+            // pivot-hunting for accuracy, and the refinement rounds buy
+            // the digits back.
             Self::Sparse { lu, a } => Ok(lu.solve_refined(a, b, SPARSE_REFINE_ROUNDS)?),
         }
     }
@@ -316,21 +281,13 @@ impl<T: Scalar> Solver<T> {
     }
 
     /// Hager 1-norm condition estimate (dense backend only; `None` for
-    /// banded systems, whose RCM band structure keeps them benign in
-    /// practice and whose factors don't support the estimator).
+    /// sparse systems, whose factors don't support the estimator).
     #[cfg_attr(not(test), allow(dead_code))]
     pub(crate) fn condition_estimate(&self) -> Option<f64> {
         match self {
             Self::Dense { cond, .. } => Some(*cond),
-            Self::Banded { .. } | Self::Sparse { .. } => None,
+            Self::Sparse { .. } => None,
         }
-    }
-
-    /// Whether the banded backend was selected (exposed for tests and
-    /// run-time reporting).
-    #[cfg_attr(not(test), allow(dead_code))]
-    pub(crate) fn is_banded(&self) -> bool {
-        matches!(self, Self::Banded { .. })
     }
 
     /// Whether the sparse direct backend was selected.
@@ -360,7 +317,7 @@ mod tests {
     fn small_systems_use_dense() {
         let t = tridiag(8);
         let s = Solver::build(&t).unwrap();
-        assert!(!s.is_banded());
+        assert!(!s.is_sparse());
         let x = s.solve(&vec![1.0; 8]).unwrap();
         let r = t.to_dense().matvec(&x).unwrap();
         for v in r {
@@ -369,11 +326,11 @@ mod tests {
     }
 
     #[test]
-    fn large_sparse_systems_use_banded() {
+    fn large_sparse_systems_use_sparse() {
         let n = 400;
         let t = tridiag(n);
         let s = Solver::build(&t).unwrap();
-        assert!(s.is_banded());
+        assert!(s.is_sparse());
         let b: Vec<f64> = (0..n).map(|i| (i as f64).cos()).collect();
         let x = s.solve(&b).unwrap();
         let r = t.to_dense().matvec(&x).unwrap();
@@ -384,7 +341,7 @@ mod tests {
 
     #[test]
     fn dense_block_forces_dense_backend() {
-        // A 100×100 fully dense system cannot be banded.
+        // A 100×100 fully dense system is one irreducible dense block.
         let n = 100;
         let mut t = Triplets::new(n, n);
         for i in 0..n {
@@ -393,13 +350,14 @@ mod tests {
             }
         }
         let s = Solver::build(&t).unwrap();
-        assert!(!s.is_banded());
+        assert!(!s.is_sparse());
     }
 
     #[test]
-    fn scrambled_band_recovers_via_rcm() {
-        // A tridiagonal system under a random permutation has huge
-        // natural bandwidth; RCM must recover it.
+    fn scrambled_chain_solves_under_auto() {
+        // A tridiagonal system under a stride permutation has huge
+        // natural bandwidth; the fill-reducing sparse path must still
+        // solve it to a tight residual.
         let n = 300;
         let t = tridiag(n);
         // Scramble indices with a fixed stride permutation.
@@ -409,7 +367,7 @@ mod tests {
             scrambled.push(p[i], p[j], v);
         }
         let s = Solver::build(&scrambled).unwrap();
-        assert!(s.is_banded(), "RCM should recover the band");
+        assert!(s.is_sparse());
         let b = vec![1.0; n];
         let x = s.solve(&b).unwrap();
         let r = scrambled.to_dense().matvec(&x).unwrap();
@@ -454,8 +412,7 @@ mod tests {
         assert!(resid < 1e-9 * 7.0, "residual {resid}");
     }
 
-    /// 2-D resistive grid: wide band after RCM relative to a 1-D chain,
-    /// still very sparse — the sparse backend's home turf.
+    /// 2-D resistive grid: very sparse — the sparse backend's home turf.
     fn grid2d(w: usize, h: usize) -> Triplets {
         let n = w * h;
         let idx = |x: usize, y: usize| y * w + x;
@@ -490,7 +447,7 @@ mod tests {
         let sp = Solver::build_with(&t, SolverBackend::Sparse, None).unwrap();
         assert!(sp.is_sparse());
         let de = Solver::build_with(&t, SolverBackend::Dense, None).unwrap();
-        assert!(!de.is_sparse() && !de.is_banded());
+        assert!(!de.is_sparse());
         let xs = sp.solve(&b).unwrap();
         let xd = de.solve(&b).unwrap();
         for (s, d) in xs.iter().zip(&xd) {
@@ -533,9 +490,8 @@ mod tests {
     fn auto_consults_btf_blocks_above_density_cutoff() {
         // Eight dense 26×26 irreducible blocks, each coupled one-way
         // into the last one: overall density ≈ 0.13 (above
-        // SPARSE_DENSITY) and the star coupling defeats RCM banding,
-        // yet BTF sees small independent blocks, so Auto must still
-        // route to the sparse kernel.
+        // SPARSE_DENSITY), yet BTF sees small independent blocks, so
+        // Auto must still route to the sparse kernel.
         let nb = 8usize;
         let w = 26usize;
         let n = nb * w;
@@ -584,10 +540,12 @@ mod tests {
     }
 
     #[test]
-    fn banded_singular_pivot_maps_to_original_ordering() {
+    fn auto_dense_retry_reports_original_pivot() {
         // Decouple one unknown entirely (zero row/column) in a system
-        // large enough for the banded backend; the reported pivot must
-        // be the *original* index of that unknown, not its RCM position.
+        // sparse enough for Auto's sparse path. Its static-pivot failure
+        // retries densely, and the reported pivot must be the *original*
+        // index of that unknown, not its position in any fill-reducing
+        // ordering.
         let n = 300;
         let dead = 137usize;
         let mut t = Triplets::new(n, n);

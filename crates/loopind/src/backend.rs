@@ -106,13 +106,15 @@ impl ExtractionBackend {
 
     /// [`ExtractionBackend::resolve`] gated by a memory budget: when
     /// the resolution lands on the dense path but stamping the
-    /// `n × n` complex partial-inductance block would exceed
-    /// `budget.max_memory_bytes`, the resolution is **refused with a
-    /// typed error** instead of letting the allocator abort the
-    /// process. `Auto` is refused rather than silently rerouted to
-    /// matrix-free because the matrix-free fallback for irregular
-    /// filament sets materializes the same dense block for its matvec
-    /// — rerouting would just move the OOM, not avoid it.
+    /// `n × n` complex partial-inductance block, on top of the two
+    /// `n × n` f64 copies of the partial-L block the probe circuit
+    /// holds (its capacitance-free parasitics and its inductor system),
+    /// would exceed `budget.max_memory_bytes`, the resolution is
+    /// **refused with a typed error** instead of letting the allocator
+    /// abort the process. `Auto` is refused rather than silently
+    /// rerouted to matrix-free because the matrix-free fallback for
+    /// irregular filament sets materializes the same dense block for
+    /// its matvec — rerouting would just move the OOM, not avoid it.
     ///
     /// # Errors
     ///
@@ -126,14 +128,15 @@ impl ExtractionBackend {
     ) -> Result<Self, CircuitError> {
         let chosen = self.resolve(n_filaments)?;
         if chosen == Self::Dense {
+            let per_entry = std::mem::size_of::<Complex64>() + 2 * std::mem::size_of::<f64>();
             let needed = n_filaments
                 .saturating_mul(n_filaments)
-                .saturating_mul(std::mem::size_of::<Complex64>());
+                .saturating_mul(per_entry);
             if let Err(e) = budget.check_alloc(needed) {
                 return Err(CircuitError::BudgetExceeded {
                     what: format!(
                         "dense extraction path needs a {n_filaments}×{n_filaments} \
-                         complex partial-inductance block: {e}"
+                         complex partial-inductance block and two f64 copies of it: {e}"
                     ),
                 });
             }
@@ -180,7 +183,7 @@ mod tests {
 
     #[test]
     fn budget_refuses_dense_with_typed_error() {
-        // 64 filaments → 64·64·16 = 65 536 bytes of dense block.
+        // 64 filaments → 64·64·(16 + 2·8) = 131 072 bytes.
         let tight = SolveBudget::unlimited().with_memory_bytes(1024);
         // `Auto` follows `IND101_EXTRACTION_BACKEND` when it is set, so
         // it is refused exactly when it resolves to the dense path.
@@ -211,6 +214,28 @@ mod tests {
         assert_eq!(
             ExtractionBackend::Auto.resolve_with_budget(64, &roomy).unwrap(),
             auto
+        );
+    }
+
+    #[test]
+    fn budget_charges_the_probe_f64_copies() {
+        // 64 filaments: the complex block alone is 65 536 bytes, and the
+        // two f64 copies of the partial-L block add another 65 536. A
+        // budget between the two figures must refuse the dense path.
+        let between = SolveBudget::unlimited().with_memory_bytes(100_000);
+        let err = ExtractionBackend::Dense
+            .resolve_with_budget(64, &between)
+            .unwrap_err();
+        assert!(
+            matches!(err, CircuitError::BudgetExceeded { .. }),
+            "expected BudgetExceeded, got {err:?}"
+        );
+        let enough = SolveBudget::unlimited().with_memory_bytes(64 * 64 * 32);
+        assert_eq!(
+            ExtractionBackend::Dense
+                .resolve_with_budget(64, &enough)
+                .unwrap(),
+            ExtractionBackend::Dense
         );
     }
 

@@ -141,8 +141,10 @@ fn build_probe(par: &PeecParasitics, spec: &LoopPortSpec) -> Result<ProbeCircuit
     }
     rl_par.coupling_caps.clear();
 
-    let model = PeecModel::build(&rl_par, InductanceMode::Full)?;
-    let mut circuit = model.circuit.clone();
+    let mut model = PeecModel::build(&rl_par, InductanceMode::Full)?;
+    // Moved, not cloned: a clone would be a third f64 copy of the
+    // partial-L block (next to `rl_par`'s and the inductor system's).
+    let mut circuit = std::mem::take(&mut model.circuit);
     let tech = par.layout.tech().clone();
 
     // Supply pads tie the return grids to the AC reference.
@@ -244,7 +246,8 @@ pub struct ResilientLoopExtraction {
 ///
 /// The backend resolution honours the memory budget
 /// ([`ExtractionBackend::resolve_with_budget`]): a dense path whose
-/// stamped partial-inductance block would not fit is refused with a
+/// stamped partial-inductance block, with the probe's f64 copies of
+/// it, would not fit is refused with a
 /// typed [`CircuitError::BudgetExceeded`] before the probe circuit (and
 /// its copies of the partial-inductance matrix) is built. The
 /// underlying AC sweep runs under `resilience`'s budget, cancellation

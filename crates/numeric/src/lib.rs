@@ -6,16 +6,17 @@
 //! * **dense symmetric solvers** — partial-inductance matrices are dense
 //!   and symmetric positive definite (Cholesky), and sparsified variants
 //!   must be *checked* for positive definiteness (Jacobi eigenvalues);
-//! * **banded/general LU** — modified-nodal-analysis (MNA) matrices of the
-//!   PEEC circuit are sparse and, after reverse Cuthill–McKee reordering,
-//!   tightly banded; AC analysis needs the same factorization over
-//!   complex numbers;
+//! * **dense and sparse LU** — modified-nodal-analysis (MNA) matrices
+//!   of the PEEC circuit are sparse unless a dense inductance block
+//!   couples them; a KLU-class sparse LU (block triangular form, AMD
+//!   ordering, supernodal blocks) factors the sparse ones, and AC
+//!   analysis needs the same factorizations over complex numbers;
 //! * **block orthonormalization** — PRIMA model-order reduction is a block
 //!   Arnoldi process built on modified Gram–Schmidt.
 //!
 //! Everything here is implemented from scratch and kept deliberately
-//! small: row-major dense matrices, LAPACK-layout banded storage, CSR
-//! sparse matrices, and a couple of classic orderings.
+//! small: row-major dense matrices, CSR sparse matrices, and the
+//! classic fill-reducing orderings.
 //!
 //! # Example
 //!
@@ -37,7 +38,6 @@
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
 
 mod amd;
-mod banded;
 mod btf;
 mod budget;
 mod cholesky;
@@ -64,7 +64,6 @@ mod toeplitz;
 mod vecops;
 
 pub use amd::approximate_minimum_degree;
-pub use banded::BandedMatrix;
 pub use btf::BtfForm;
 pub use budget::{BudgetError, CancelToken, SolveBudget, SolveGuard};
 pub use cholesky::CholeskyFactor;
@@ -84,7 +83,7 @@ pub use krylov_rescue::{
     KrylovRescueRung, KrylovRungTrace, NoEscalation, RescueProvider,
 };
 pub use lu::{LuFactors, LU_BLOCK};
-pub use ordering::{bandwidth, reverse_cuthill_mckee, Permutation};
+pub use ordering::Permutation;
 pub use partition::ParallelConfig;
 pub use qr::{mgs_orthonormalize, orthonormalize_against};
 pub use scalar::Scalar;

@@ -4,8 +4,9 @@
 //! MNA stamping naturally produces duplicate coordinate entries (every
 //! element stamps its own contribution); [`Triplets`] accumulates them
 //! and [`Triplets::to_csr`] merges duplicates. The CSR form feeds
-//! matrix–vector products (PRIMA), bandwidth-reducing orderings
-//! ([`crate::ordering`]), and banded assembly ([`crate::BandedMatrix`]).
+//! matrix–vector products (PRIMA), the fill-reducing orderings
+//! ([`crate::approximate_minimum_degree`], [`crate::BtfForm`]) and the
+//! sparse LU ([`crate::SparseLu`]).
 
 use crate::{Matrix, NumericError, Result, Scalar};
 
@@ -306,7 +307,7 @@ impl<T: Scalar> CsrMatrix<T> {
 
     /// Undirected adjacency lists of the structural pattern of a square
     /// matrix (`i ~ j` when either `(i,j)` or `(j,i)` is stored),
-    /// excluding self-loops. Input to the RCM ordering.
+    /// excluding self-loops. Input to the AMD ordering.
     pub fn adjacency(&self) -> Vec<Vec<usize>> {
         let n = self.nrows.max(self.ncols);
         let mut adj = vec![Vec::new(); n];
